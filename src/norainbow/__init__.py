@@ -17,13 +17,11 @@ from .hypergraph import (
     completion_safe,
     first_rainbow_edge,
     format_certificate,
-    hamming,
     has_fully_frozen_rainbow,
     is_no_rainbow_coloring,
     is_rainbow_edge,
     parse_certificate,
     parse_instance,
-    select_branch_edge,
     write_instance,
 )
 from .instances import (

@@ -8,10 +8,10 @@ each start's tree at most (r-1)-ary of bounded depth.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Callable, Iterator, Optional
 
 from .hypergraph import (
@@ -22,12 +22,12 @@ from .hypergraph import (
     SearchOutcome,
     SearchState,
     SearchStats,
-    background_completion,
     is_no_rainbow_coloring,
     validate_candidate_pair,
 )
+from .parallel import search_ranges
 
-TraceFn = Callable[[int, str, SearchState], None]
+TraceFn = Callable[[int, SearchState], None]
 
 
 def search_radius(n: int, r: int) -> int:
@@ -63,28 +63,28 @@ def local_search(
     radius: int,
     trace: Optional[TraceFn] = None,
 ) -> SearchOutcome:
-    """Bounded-radius search from one candidate pair.
+    """Bounded-radius search from one candidate pair whose unfrozen nodes
+    all share one background color, as every det_nrc start does.
 
     Case order per level: out of budget with a rainbow edge -> fail; fully
     frozen rainbow edge -> fail; no rainbow edge -> certify the current
-    coloring; no edge with exactly r-1 frozen nodes -> certify the background
-    completion; otherwise recolor the unique unfrozen node of the lowest
-    qualifying rainbow edge to each of the other r-1 colors, freeze it, and
-    recurse with one less budget.
-
-    When a rainbow edge exists but no rainbow edge has exactly one unfrozen
-    node, a fallback expansion branches over every unfrozen node of the
-    lowest-index rainbow edge with the most frozen members; such calls and
-    their subtrees are counted in stats.fallback_nodes, keeping
-    stats.recursion_nodes under the (r-1)-ary tree bound.
+    coloring; otherwise recolor the unfrozen node of the lowest rainbow edge
+    to each of the other r-1 colors, freeze it, and recurse with one less
+    budget. Every recolored node is frozen at once, so unfrozen nodes keep
+    the background color and a rainbow edge has at most one unfrozen node;
+    once no rainbow edge is fully frozen, each has exactly one, and the
+    tree is (r-1)-ary. trace, when given, is called as trace(depth, state)
+    at every node. Raises ValueError on a pair with a non-uniform background.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     validate_candidate_pair(hg, pair.coloring, pair.frozen)
+    if len({c for v, c in enumerate(pair.coloring) if v not in pair.frozen}) > 1:
+        raise ValueError("local_search needs one background color on every unfrozen node")
     stats = SearchStats(trials=1)
     t0 = time.perf_counter()
     state = SearchState(hg, pair.coloring, pair.frozen)
-    certificate = _search(hg, state, radius, 0, stats, True, trace)
+    certificate = _search(hg, state, radius, 0, stats, trace)
     stats.elapsed = time.perf_counter() - t0
     stats.max_start_nodes = stats.recursion_nodes
     if certificate is None:
@@ -100,68 +100,35 @@ def _search(
     budget: int,
     depth: int,
     stats: SearchStats,
-    standard_mode: bool,
     trace: Optional[TraceFn],
 ) -> Optional[list[int]]:
-    if standard_mode:
-        stats.recursion_nodes += 1
-    else:
-        stats.fallback_nodes += 1
+    stats.recursion_nodes += 1
     if trace is not None:
-        trace(depth, "standard" if standard_mode else "fallback", state)
+        trace(depth, state)
 
-    has_rainbow = state.rainbow_edges > 0
-    if budget == 0 and has_rainbow:
+    if budget == 0 and state.rainbow_edges > 0:
         return None
     if state.frozen_rainbow_edges > 0:
         return None
-    if not has_rainbow:
+    if state.rainbow_edges == 0:
         return list(state.coloring)
-    if state.near_frozen_edges == 0:
-        return background_completion(hg, state.coloring, state.frozen)
 
-    target = state.branch_target()
-    if target is not None:
-        v = target.node
-        old = state.coloring[v]
-        state.freeze(v)
-        for color in range(1, hg.r + 1):
-            if color == old:
-                continue
-            state.recolor(v, color)
-            found = _search(hg, state, budget - 1, depth + 1, stats, standard_mode, trace)
-            if found is not None:
-                return found
-        state.recolor(v, old)
-        state.unfreeze(v)
-        return None
-
-    # No rainbow edge has exactly one unfrozen node, yet some non-rainbow
-    # edge has r-1 frozen members, so neither exit above applies. Branch
-    # wider: every unfrozen node of the chosen rainbow edge, every color.
-    ei = state.fallback_edge()
-    unfrozen = [v for v in hg.edges[ei] if v not in state.frozen]
-    for v in unfrozen:
-        old = state.coloring[v]
-        state.freeze(v)
-        for color in range(1, hg.r + 1):
-            if color == old:
-                continue
-            state.recolor(v, color)
-            found = _search(hg, state, budget - 1, depth + 1, stats, False, trace)
-            if found is not None:
-                return found
-        state.recolor(v, old)
-        state.unfreeze(v)
+    v = state.branch_target().node
+    old = state.coloring[v]
+    state.freeze(v)
+    for color in range(1, hg.r + 1):
+        if color == old:
+            continue
+        state.recolor(v, color)
+        found = _search(hg, state, budget - 1, depth + 1, stats, trace)
+        if found is not None:
+            return found
+    state.recolor(v, old)
+    state.unfreeze(v)
     return None
 
 
-def det_nrc(
-    hg: Hypergraph,
-    radius: Optional[int] = None,
-    workers: int = 1,
-    trace: Optional[TraceFn] = None,
-) -> SearchOutcome:
+def det_nrc(hg: Hypergraph, radius: Optional[int] = None, workers: int = 1) -> SearchOutcome:
     """Decide no-rainbow r-colorability by trying every initial candidate
     pair at the full search radius; stops at the first certified success.
 
@@ -169,76 +136,26 @@ def det_nrc(
     workers > 1 the starts are searched in parallel chunks; the decision is
     unchanged but stats may differ from a sequential run.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     t0 = time.perf_counter()
     stats = SearchStats()
-    if hg.n < hg.r:
-        stats.elapsed = time.perf_counter() - t0
-        return SearchOutcome(NOT_COLORABLE, None, stats)
-    if radius is None:
-        radius = search_radius(hg.n, hg.r)
-    if workers > 1:
-        return _det_parallel(hg, radius, workers, t0)
-    for pair in enumerate_initial_pairs(hg):
-        outcome = local_search(hg, pair, radius, trace)
-        stats.absorb(outcome.stats)
-        if outcome.colorable:
-            stats.elapsed = time.perf_counter() - t0
-            return SearchOutcome(COLORABLE, outcome.certificate, stats)
-    stats.elapsed = time.perf_counter() - t0
-    return SearchOutcome(NOT_COLORABLE, None, stats)
-
-
-def _det_chunk(args) -> dict:
-    n, r, edges, radius, start, stop = args
-    hg = Hypergraph(n, r, edges)
-    stats = SearchStats()
     certificate = None
-    for pair in itertools.islice(enumerate_initial_pairs(hg), start, stop):
+    if hg.n >= hg.r:
+        if radius is None:
+            radius = search_radius(hg.n, hg.r)
+        range_fn = functools.partial(_det_range, radius=radius)
+        certificate = search_ranges(hg, range_fn, initial_pair_count(hg.n, hg.r), workers, stats)
+    stats.elapsed = time.perf_counter() - t0
+    if certificate is None:
+        return SearchOutcome(NOT_COLORABLE, None, stats)
+    return SearchOutcome(COLORABLE, certificate, stats)
+
+
+def _det_range(hg: Hypergraph, lo: int, hi: int, stats: SearchStats, radius: int) -> Optional[list[int]]:
+    for pair in itertools.islice(enumerate_initial_pairs(hg), lo, hi):
         outcome = local_search(hg, pair, radius)
         stats.absorb(outcome.stats)
         if outcome.colorable:
-            certificate = outcome.certificate
-            break
-    return {
-        "certificate": certificate,
-        "recursion_nodes": stats.recursion_nodes,
-        "fallback_nodes": stats.fallback_nodes,
-        "trials": stats.trials,
-        "max_start_nodes": stats.max_start_nodes,
-    }
-
-
-def _det_parallel(hg: Hypergraph, radius: int, workers: int, t0: float) -> SearchOutcome:
-    total = initial_pair_count(hg.n, hg.r)
-    chunks = max(1, min(4 * workers, total))
-    step = -(-total // chunks)
-    bounds = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-    args = [(hg.n, hg.r, hg.edges, radius, lo, hi) for lo, hi in bounds]
-    stats = SearchStats()
-    certificate = None
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(_det_chunk, a): i for i, a in enumerate(args)}
-        pending = set(futures)
-        results: dict[int, dict] = {}
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                results[futures[fut]] = fut.result()
-            if any(res["certificate"] is not None for res in results.values()):
-                for fut in pending:
-                    fut.cancel()
-                pending = set()
-    for idx in sorted(results):
-        res = results[idx]
-        stats.recursion_nodes += res["recursion_nodes"]
-        stats.fallback_nodes += res["fallback_nodes"]
-        stats.trials += res["trials"]
-        stats.max_start_nodes = max(stats.max_start_nodes, res["max_start_nodes"])
-        if certificate is None and res["certificate"] is not None:
-            certificate = res["certificate"]
-    stats.elapsed = time.perf_counter() - t0
-    if certificate is not None:
-        if not is_no_rainbow_coloring(hg, certificate):
-            raise RuntimeError("internal error: parallel search returned invalid certificate")
-        return SearchOutcome(COLORABLE, certificate, stats)
-    return SearchOutcome(NOT_COLORABLE, None, stats)
+            return outcome.certificate
+    return None

@@ -83,11 +83,13 @@ class CandidatePair:
 class SearchStats:
     """Work counters for one solver run.
 
-    For the deterministic search, recursion_nodes counts calls reached
-    through standard one-unfrozen-node branches only; calls below a
-    fallback expansion go to fallback_nodes so the (r-1)-ary branching
-    bound stays checkable. For the randomized search, recursion_nodes
-    counts walk iterations. trials counts search starts.
+    recursion_nodes counts search-tree nodes for the deterministic search
+    and walk iterations for the randomized one; trials counts search starts
+    and max_start_nodes the most nodes any one start took. No solver adds
+    to fallback_nodes, which stays 0: det never takes a fallback branch,
+    and rand counts its fallback steps in recursion_nodes. The field is
+    kept because the `c stats ... fallback=` line and the perfbench
+    counters read it.
     """
 
     recursion_nodes: int = 0
@@ -220,13 +222,6 @@ def is_no_rainbow_coloring(hg: Hypergraph, coloring: list[int]) -> bool:
     return first_rainbow_edge(hg, coloring) is None
 
 
-def hamming(a: list[int], b: list[int]) -> int:
-    """Number of positions where the two colorings disagree."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return sum(1 for x, y in zip(a, b) if x != y)
-
-
 def validate_candidate_pair(hg: Hypergraph, coloring: list[int], frozen: Iterable[int]) -> None:
     """Raise unless (coloring, frozen) is a candidate pair: every color 1..r
     appears on some frozen node (which forces surjectivity and |frozen| >= r)."""
@@ -283,18 +278,6 @@ def background_completion(hg: Hypergraph, coloring: list[int], frozen: set[int])
     if not is_no_rainbow_coloring(hg, completed):
         raise RuntimeError("internal error: background completion failed verification")
     return completed
-
-
-def select_branch_edge(
-    hg: Hypergraph, coloring: list[int], frozen: set[int]
-) -> Optional[BranchTarget]:
-    """Lowest-index rainbow edge with exactly r-1 frozen nodes, paired with
-    its unique unfrozen node; None when no edge qualifies."""
-    for ei, e in enumerate(hg.edges):
-        unfrozen = [v for v in e if v not in frozen]
-        if len(unfrozen) == 1 and is_rainbow_edge(hg, coloring, ei):
-            return BranchTarget(ei, unfrozen[0])
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +358,8 @@ class SearchState:
             self._tally(ei, +1)
 
     def branch_target(self) -> Optional[BranchTarget]:
-        """Incremental-counter version of select_branch_edge."""
+        """Lowest-index rainbow edge with exactly r-1 frozen nodes, paired
+        with its unique unfrozen node; None when no edge qualifies."""
         r = self.hg.r
         for ei in range(self.hg.m):
             if self.distinct[ei] == r and self.frozen_count[ei] == r - 1:

@@ -9,10 +9,10 @@ COLORABLE answer carries a verified certificate.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -29,6 +29,7 @@ from .hypergraph import (
     is_no_rainbow_coloring,
     validate_candidate_pair,
 )
+from .parallel import search_ranges
 
 DEFAULT_TRIAL_CAP = 10**6
 
@@ -153,6 +154,8 @@ def rand_nrc(
     uniformly drawn subset instead of sweeping all of them. It is faster but
     voids the success guarantee the full sweep provides.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     t0 = time.perf_counter()
     stats = SearchStats()
     if hg.n < hg.r:
@@ -165,105 +168,36 @@ def rand_nrc(
         stats.elapsed = time.perf_counter() - t0
         return SearchOutcome(COLORABLE, certificate, stats)
     trials = trial_count(hg.n, hg.r, alpha, cap)
-    if workers > 1:
-        return _rand_parallel(hg, trials, master_seed, workers, t0, one_subset_per_trial)
+    range_fn = functools.partial(_rand_range, master_seed=master_seed, one_subset=one_subset_per_trial)
+    certificate = search_ranges(hg, range_fn, trials, workers, stats)
+    stats.elapsed = time.perf_counter() - t0
+    if certificate is None:
+        return SearchOutcome(NOT_COLORABLE, None, stats)
+    return SearchOutcome(COLORABLE, certificate, stats)
+
+
+def _rand_range(
+    hg: Hypergraph, lo: int, hi: int, stats: SearchStats, master_seed: int, one_subset: bool
+) -> Optional[list[int]]:
+    """Run restart rounds lo..hi-1."""
     subsets = list(itertools.combinations(range(hg.n), hg.r))
-    for trial in range(trials):
-        outcome = _run_trial(hg, trial, master_seed, subsets, stats, one_subset_per_trial)
-        if outcome is not None:
-            outcome.stats = stats
-            stats.elapsed = time.perf_counter() - t0
-            return outcome
-    stats.elapsed = time.perf_counter() - t0
-    return SearchOutcome(NOT_COLORABLE, None, stats)
-
-
-def _run_trial(
-    hg: Hypergraph,
-    trial: int,
-    master_seed: int,
-    subsets: list[tuple[int, ...]],
-    stats: SearchStats,
-    one_subset: bool = False,
-) -> Optional[SearchOutcome]:
-    if one_subset:
-        # subset pick comes from its own stream, keyed by the trial alone,
-        # so it never collides with the per-start walk streams
-        pick = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(trial,)))
-        indices = [int(pick.integers(len(subsets)))]
-    else:
-        indices = range(len(subsets))
-    for subset_index in indices:
-        subset = subsets[subset_index]
-        if subset in hg.edge_set:
-            stats.trials += 1
-            continue
-        rng = derive_rng(master_seed, trial, subset_index)
-        coloring = _start_coloring(hg, subset, rng)
-        outcome = rand_local_search(hg, coloring, subset, rng)
-        stats.absorb(outcome.stats)
-        if outcome.colorable:
-            return outcome
+    for trial in range(lo, hi):
+        if one_subset:
+            # subset pick comes from its own stream, keyed by the trial alone,
+            # so it never collides with the per-start walk streams
+            pick = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(trial,)))
+            indices = [int(pick.integers(len(subsets)))]
+        else:
+            indices = range(len(subsets))
+        for subset_index in indices:
+            subset = subsets[subset_index]
+            if subset in hg.edge_set:
+                stats.trials += 1
+                continue
+            rng = derive_rng(master_seed, trial, subset_index)
+            coloring = _start_coloring(hg, subset, rng)
+            outcome = rand_local_search(hg, coloring, subset, rng)
+            stats.absorb(outcome.stats)
+            if outcome.colorable:
+                return outcome.certificate
     return None
-
-
-def _rand_chunk(args) -> dict:
-    n, r, edges, master_seed, start, stop, one_subset = args
-    hg = Hypergraph(n, r, edges)
-    subsets = list(itertools.combinations(range(n), r))
-    stats = SearchStats()
-    certificate = None
-    for trial in range(start, stop):
-        outcome = _run_trial(hg, trial, master_seed, subsets, stats, one_subset)
-        if outcome is not None:
-            certificate = outcome.certificate
-            break
-    return {
-        "certificate": certificate,
-        "recursion_nodes": stats.recursion_nodes,
-        "fallback_nodes": stats.fallback_nodes,
-        "trials": stats.trials,
-        "max_start_nodes": stats.max_start_nodes,
-    }
-
-
-def _rand_parallel(
-    hg: Hypergraph,
-    trials: int,
-    master_seed: int,
-    workers: int,
-    t0: float,
-    one_subset: bool = False,
-) -> SearchOutcome:
-    chunks = max(1, min(4 * workers, trials))
-    step = -(-trials // chunks)
-    bounds = [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
-    args = [(hg.n, hg.r, hg.edges, master_seed, lo, hi, one_subset) for lo, hi in bounds]
-    stats = SearchStats()
-    certificate = None
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(_rand_chunk, a): i for i, a in enumerate(args)}
-        pending = set(futures)
-        results: dict[int, dict] = {}
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                results[futures[fut]] = fut.result()
-            if any(res["certificate"] is not None for res in results.values()):
-                for fut in pending:
-                    fut.cancel()
-                pending = set()
-    for idx in sorted(results):
-        res = results[idx]
-        stats.recursion_nodes += res["recursion_nodes"]
-        stats.fallback_nodes += res["fallback_nodes"]
-        stats.trials += res["trials"]
-        stats.max_start_nodes = max(stats.max_start_nodes, res["max_start_nodes"])
-        if certificate is None and res["certificate"] is not None:
-            certificate = res["certificate"]
-    stats.elapsed = time.perf_counter() - t0
-    if certificate is not None:
-        if not is_no_rainbow_coloring(hg, certificate):
-            raise RuntimeError("internal error: parallel walk returned invalid certificate")
-        return SearchOutcome(COLORABLE, certificate, stats)
-    return SearchOutcome(NOT_COLORABLE, None, stats)

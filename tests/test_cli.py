@@ -212,6 +212,14 @@ def test_solve_threads_flag(capsys, planted, complete43):
     assert code == 20
 
 
+
+def test_solve_threads_must_be_positive(capsys, planted):
+    for algo in ("det", "rand"):
+        for threads in ("0", "-1"):
+            code, out, err = run_cli(capsys, "solve", planted, "--algo", algo, "--threads", threads)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: workers must be >= 1")
 def test_solve_one_subset_flag(capsys, planted):
     runs = [
         run_cli(capsys, "solve", planted, "--algo", "rand", "--seed", "2", "--one-subset-per-trial")

@@ -12,7 +12,6 @@ from norainbow import (
     Hypergraph,
     det_nrc,
     enumerate_initial_pairs,
-    hamming,
     is_no_rainbow_coloring,
     local_search,
     search_radius,
@@ -21,14 +20,16 @@ from norainbow.det_solver import initial_pair_count
 from norainbow.instances import gen_complete, gen_planted, gen_random
 from norainbow.oracle import oracle_decide, oracle_verify_certificate
 
+from reference import hamming
 from strategies import hypergraphs
 
 # gen_random(6, 12, 3, 6) is NOT_COLORABLE and forces real branching
 BRANCHY_UNSAT = gen_random(6, 12, 3, 6)
 
-# (c, F) below puts the search in the gap state: edge (2,3,4) is rainbow with
-# no frozen node while edge (0,1,4) has exactly r-1 frozen members, so no
-# rainbow edge has a unique unfrozen node and the wide fallback must fire.
+# (c, F) below is the gap state: edge (2,3,4) is rainbow with no frozen node
+# while edge (0,1,4) has exactly r-1 frozen members, so no rainbow edge has a
+# unique unfrozen node. Its background is not uniform, so no det start looks
+# like it; the rand walk can reach it and takes its fallback there.
 FALLBACK_HG = Hypergraph(6, 3, ((0, 1, 4), (2, 3, 4)))
 FALLBACK_PAIR = CandidatePair([1, 2, 2, 3, 1, 3], frozenset({0, 1, 5}))
 
@@ -92,11 +93,9 @@ def test_local_search_complete_four_all_starts():
         assert local_search(hg, pair, 2).decision == NOT_COLORABLE
 
 
-def test_local_search_fallback_path():
-    out = local_search(FALLBACK_HG, FALLBACK_PAIR, 3)
-    assert out.decision == COLORABLE
-    assert out.stats.fallback_nodes > 0
-    assert is_no_rainbow_coloring(FALLBACK_HG, out.certificate)
+def test_local_search_rejects_mixed_background():
+    with pytest.raises(ValueError, match="background"):
+        local_search(FALLBACK_HG, FALLBACK_PAIR, 3)
 
 
 def test_node_count_bound_on_branchy_instance():
@@ -115,8 +114,8 @@ def test_trace_invariants():
         initial = list(pair.coloring)
         seen = []
 
-        def watch(depth, mode, state):
-            seen.append((depth, mode))
+        def watch(depth, state):
+            seen.append(depth)
             assert depth <= g
             assert hamming(initial, state.coloring) == depth
             assert len(state.frozen) == len(pair.frozen) + depth
@@ -124,22 +123,21 @@ def test_trace_invariants():
             assert all(state.coloring[v] == initial[v] for v in pair.frozen)
 
         local_search(hg, pair, g, trace=watch)
-        assert seen[0] == (0, "standard")
+        assert seen[0] == 0
 
 
 def test_unsat_standard_nodes_have_r_minus_1_children():
-    # on a fully explored (unsatisfiable) search, every expanded standard
-    # node has exactly r-1 children in the preorder trace
+    # on a fully explored (unsatisfiable) search, every expanded node has
+    # exactly r-1 children in the preorder trace
     hg = BRANCHY_UNSAT
     g = search_radius(hg.n, hg.r)
     for pair in list(enumerate_initial_pairs(hg))[:8]:
         trace = []
-        local_search(hg, pair, g, trace=lambda d, mode, s: trace.append((d, mode)))
+        local_search(hg, pair, g, trace=lambda d, s: trace.append(d))
         children = [0] * len(trace)
         stack = []
-        for i, (depth, mode) in enumerate(trace):
-            assert mode == "standard"
-            while stack and trace[stack[-1]][0] >= depth:
+        for i, depth in enumerate(trace):
+            while stack and trace[stack[-1]] >= depth:
                 stack.pop()
             if stack:
                 children[stack[-1]] += 1

@@ -14,17 +14,16 @@ from norainbow import (
     background_completion,
     completion_safe,
     first_rainbow_edge,
-    hamming,
     has_fully_frozen_rainbow,
     is_no_rainbow_coloring,
     is_rainbow_edge,
     parse_instance,
-    select_branch_edge,
     write_instance,
 )
 from norainbow.hypergraph import validate_candidate_pair
 from norainbow.instances import gen_complete, gen_random
 
+from reference import hamming, select_branch_edge
 from strategies import colored_hypergraphs, hypergraphs
 
 
