@@ -6,15 +6,15 @@ from .det_solver import det_nrc, enumerate_initial_pairs, local_search, search_r
 from .hypergraph import (
     COLORABLE,
     NOT_COLORABLE,
-    BranchTarget,
     CandidatePair,
     Hypergraph,
     ParseError,
     SearchOutcome,
-    SearchState,
     SearchStats,
     background_completion,
+    branch_node,
     completion_safe,
+    edge_state,
     first_rainbow_edge,
     format_certificate,
     has_fully_frozen_rainbow,

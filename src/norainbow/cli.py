@@ -232,14 +232,11 @@ def _bench_row(instance_id, hg, algo, seed, alpha, args) -> list:
     }
     t0 = time.perf_counter()
     try:
-        if algo == "det":
-            outcome = det_nrc(hg, workers=args.threads)
-            row["decision"] = outcome.decision
-            row["recursion_nodes"] = outcome.stats.recursion_nodes
-            row["trials"] = outcome.stats.trials
-            row["elapsed_ms"] = f"{outcome.stats.elapsed * 1000:.3f}"
-        elif algo == "rand":
-            outcome = rand_nrc(hg, alpha=alpha, master_seed=seed, cap=args.trial_cap, workers=args.threads)
+        if algo in ("det", "rand"):
+            if algo == "det":
+                outcome = det_nrc(hg, workers=args.threads)
+            else:
+                outcome = rand_nrc(hg, alpha=alpha, master_seed=seed, cap=args.trial_cap, workers=args.threads)
             row["decision"] = outcome.decision
             row["recursion_nodes"] = outcome.stats.recursion_nodes
             row["trials"] = outcome.stats.trials

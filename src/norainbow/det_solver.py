@@ -14,20 +14,23 @@ import math
 import time
 from typing import Callable, Iterator, Optional
 
+import numpy as np
+
 from .hypergraph import (
     COLORABLE,
     NOT_COLORABLE,
     CandidatePair,
     Hypergraph,
     SearchOutcome,
-    SearchState,
     SearchStats,
+    branch_node,
+    edge_state,
     is_no_rainbow_coloring,
     validate_candidate_pair,
 )
 from .parallel import search_ranges
 
-TraceFn = Callable[[int, SearchState], None]
+TraceFn = Callable[[int, np.ndarray, np.ndarray], None]
 
 
 def search_radius(n: int, r: int) -> int:
@@ -66,15 +69,18 @@ def local_search(
     """Bounded-radius search from one candidate pair whose unfrozen nodes
     all share one background color, as every det_nrc start does.
 
-    Case order per level: out of budget with a rainbow edge -> fail; fully
-    frozen rainbow edge -> fail; no rainbow edge -> certify the current
-    coloring; otherwise recolor the unfrozen node of the lowest rainbow edge
-    to each of the other r-1 colors, freeze it, and recurse with one less
-    budget. Every recolored node is frozen at once, so unfrozen nodes keep
-    the background color and a rainbow edge has at most one unfrozen node;
-    once no rainbow edge is fully frozen, each has exactly one, and the
-    tree is (r-1)-ary. trace, when given, is called as trace(depth, state)
-    at every node. Raises ValueError on a pair with a non-uniform background.
+    Each search node is evaluated afresh from the per-edge rainbow flags and
+    frozen counts of edge_state. Case order per node: no rainbow edge ->
+    certify the current coloring; out of budget, or a fully frozen rainbow
+    edge -> fail; otherwise recolor the unfrozen node of the lowest rainbow
+    edge with r-1 frozen nodes to each of the other r-1 colors, freeze it,
+    and recurse with one less budget. Every recolored node is frozen at
+    once, so unfrozen nodes keep the background color and a rainbow edge
+    has at most one unfrozen node; once no rainbow edge is fully frozen,
+    each has exactly one, and the tree is (r-1)-ary. trace, when given, is
+    called as trace(depth, coloring, frozen) at every node with the live
+    color array and frozen mask. Raises ValueError on a pair with a
+    non-uniform background.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
@@ -83,8 +89,10 @@ def local_search(
         raise ValueError("local_search needs one background color on every unfrozen node")
     stats = SearchStats(trials=1)
     t0 = time.perf_counter()
-    state = SearchState(hg, pair.coloring, pair.frozen)
-    certificate = _search(hg, state, radius, 0, stats, trace)
+    coloring = np.array(pair.coloring, dtype=np.intp)
+    frozen = np.zeros(hg.n, dtype=bool)
+    frozen[list(pair.frozen)] = True
+    certificate = _search(hg, coloring, frozen, radius, 0, stats, trace)
     stats.elapsed = time.perf_counter() - t0
     stats.max_start_nodes = stats.recursion_nodes
     if certificate is None:
@@ -96,7 +104,8 @@ def local_search(
 
 def _search(
     hg: Hypergraph,
-    state: SearchState,
+    coloring: np.ndarray,
+    frozen: np.ndarray,
     budget: int,
     depth: int,
     stats: SearchStats,
@@ -104,27 +113,26 @@ def _search(
 ) -> Optional[list[int]]:
     stats.recursion_nodes += 1
     if trace is not None:
-        trace(depth, state)
-
-    if budget == 0 and state.rainbow_edges > 0:
+        trace(depth, coloring, frozen)
+    rainbow, frozen_count = edge_state(hg, coloring, frozen)
+    if not rainbow.any():
+        return coloring.tolist()
+    if budget == 0 or (frozen_count[rainbow] == hg.r).any():
         return None
-    if state.frozen_rainbow_edges > 0:
-        return None
-    if state.rainbow_edges == 0:
-        return list(state.coloring)
-
-    v = state.branch_target().node
-    old = state.coloring[v]
-    state.freeze(v)
+    v = branch_node(hg, frozen, rainbow, frozen_count)
+    # free this node's per-edge arrays before the subtree below it runs
+    del rainbow, frozen_count
+    old = int(coloring[v])
+    frozen[v] = True
     for color in range(1, hg.r + 1):
         if color == old:
             continue
-        state.recolor(v, color)
-        found = _search(hg, state, budget - 1, depth + 1, stats, trace)
+        coloring[v] = color
+        found = _search(hg, coloring, frozen, budget - 1, depth + 1, stats, trace)
         if found is not None:
             return found
-    state.recolor(v, old)
-    state.unfreeze(v)
+    coloring[v] = old
+    frozen[v] = False
     return None
 
 

@@ -1,13 +1,16 @@
 """r-uniform hypergraphs, colorings, and the predicates every solver shares.
 
 Nodes are 0..n-1 internally and 1..n in instance files. Colors are 1..r
-everywhere. A coloring is a plain list of ints of length n.
+everywhere. A coloring is a plain list of ints of length n; inside a search
+it is an intp array beside a boolean mask of the frozen nodes.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
+
+import numpy as np
 
 COLORABLE = "COLORABLE"
 NOT_COLORABLE = "NOT_COLORABLE"
@@ -54,18 +57,9 @@ class Hypergraph:
         return frozenset(self.edges)
 
     @functools.cached_property
-    def incidence(self) -> tuple[tuple[int, ...], ...]:
-        """For each node, the indices of edges containing it."""
-        inc: list[list[int]] = [[] for _ in range(self.n)]
-        for ei, e in enumerate(self.edges):
-            for v in e:
-                inc[v].append(ei)
-        return tuple(tuple(x) for x in inc)
-
-
-class BranchTarget(NamedTuple):
-    edge_index: int
-    node: int
+    def edge_array(self) -> np.ndarray:
+        """The edges as an (m, r) intp array, one row per edge."""
+        return np.array(self.edges, dtype=np.intp).reshape(self.m, self.r)
 
 
 @dataclass
@@ -281,98 +275,34 @@ def background_completion(hg: Hypergraph, coloring: list[int], frozen: set[int])
 
 
 # ---------------------------------------------------------------------------
-# incremental search bookkeeping
+# per-node search evaluation
 
 
-class SearchState:
-    """Mutable per-branch counters over one coloring and frozen set.
+def edge_state(hg: Hypergraph, coloring: np.ndarray, frozen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per edge, whether it is rainbow under coloring (an intp array of
+    colors 1..r) and how many of its nodes the boolean mask frozen holds.
 
-    Keeps, per edge, the color multiplicities, the distinct-color count and
-    the frozen-member count, plus running totals of rainbow edges, edges
-    with exactly r-1 frozen members, and fully frozen rainbow edges. A
-    recolor or freeze costs O(incident edges); the step predicates the
-    solvers ask at every search node are then O(1).
+    Both solvers evaluate every search node afresh from these two arrays.
+    An edge is rainbow when the OR of 1 << color over its nodes sets all r
+    color bits.
     """
+    # int64 masks hold colors up to 62; past that the bits are Python ints
+    one = np.int64(1) if hg.r < 63 else np.array(1, dtype=object)
+    bits = (one << coloring)[hg.edge_array]
+    seen = bits[:, 0].copy()
+    for j in range(1, hg.r):
+        seen |= bits[:, j]
+    rainbow = seen == (1 << (hg.r + 1)) - 2
+    return rainbow, np.count_nonzero(frozen[hg.edge_array], axis=1)
 
-    def __init__(self, hg: Hypergraph, coloring: list[int], frozen: Iterable[int]):
-        self.hg = hg
-        self.coloring = list(coloring)
-        self.frozen = set(frozen)
-        r = hg.r
-        self.color_counts = [[0] * (r + 1) for _ in range(hg.m)]
-        self.distinct = [0] * hg.m
-        self.frozen_count = [0] * hg.m
-        self.rainbow_edges = 0
-        self.near_frozen_edges = 0
-        self.frozen_rainbow_edges = 0
-        for ei, e in enumerate(hg.edges):
-            counts = self.color_counts[ei]
-            for v in e:
-                c = self.coloring[v]
-                if counts[c] == 0:
-                    self.distinct[ei] += 1
-                counts[c] += 1
-                if v in self.frozen:
-                    self.frozen_count[ei] += 1
-            self._tally(ei, +1)
 
-    def _tally(self, ei: int, sign: int) -> None:
-        r = self.hg.r
-        if self.distinct[ei] == r:
-            self.rainbow_edges += sign
-            if self.frozen_count[ei] == r:
-                self.frozen_rainbow_edges += sign
-        if self.frozen_count[ei] == r - 1:
-            self.near_frozen_edges += sign
-
-    def recolor(self, v: int, color: int) -> int:
-        """Set node v to color, returning its previous color."""
-        old = self.coloring[v]
-        if color == old:
-            return old
-        for ei in self.hg.incidence[v]:
-            self._tally(ei, -1)
-            counts = self.color_counts[ei]
-            counts[old] -= 1
-            if counts[old] == 0:
-                self.distinct[ei] -= 1
-            if counts[color] == 0:
-                self.distinct[ei] += 1
-            counts[color] += 1
-            self._tally(ei, +1)
-        self.coloring[v] = color
-        return old
-
-    def freeze(self, v: int) -> None:
-        self.frozen.add(v)
-        for ei in self.hg.incidence[v]:
-            self._tally(ei, -1)
-            self.frozen_count[ei] += 1
-            self._tally(ei, +1)
-
-    def unfreeze(self, v: int) -> None:
-        self.frozen.discard(v)
-        for ei in self.hg.incidence[v]:
-            self._tally(ei, -1)
-            self.frozen_count[ei] -= 1
-            self._tally(ei, +1)
-
-    def branch_target(self) -> Optional[BranchTarget]:
-        """Lowest-index rainbow edge with exactly r-1 frozen nodes, paired
-        with its unique unfrozen node; None when no edge qualifies."""
-        r = self.hg.r
-        for ei in range(self.hg.m):
-            if self.distinct[ei] == r and self.frozen_count[ei] == r - 1:
-                v = next(u for u in self.hg.edges[ei] if u not in self.frozen)
-                return BranchTarget(ei, v)
+def branch_node(
+    hg: Hypergraph, frozen: np.ndarray, rainbow: np.ndarray, frozen_count: np.ndarray
+) -> Optional[int]:
+    """The unfrozen node of the lowest-index rainbow edge with exactly r-1
+    frozen nodes; None when no rainbow edge has exactly one unfrozen node."""
+    hits = np.flatnonzero(rainbow & (frozen_count == hg.r - 1))
+    if hits.size == 0:
         return None
-
-    def fallback_edge(self) -> Optional[int]:
-        """Lowest-index rainbow edge with the most frozen members; used only
-        when no rainbow edge has exactly one unfrozen node."""
-        best = None
-        best_fc = -1
-        for ei in range(self.hg.m):
-            if self.distinct[ei] == self.hg.r and self.frozen_count[ei] > best_fc:
-                best, best_fc = ei, self.frozen_count[ei]
-        return best
+    edge = hg.edge_array[hits[0]]
+    return int(edge[~frozen[edge]][0])

@@ -23,9 +23,10 @@ from .hypergraph import (
     NOT_COLORABLE,
     Hypergraph,
     SearchOutcome,
-    SearchState,
     SearchStats,
     background_completion,
+    branch_node,
+    edge_state,
     is_no_rainbow_coloring,
     validate_candidate_pair,
 )
@@ -64,53 +65,53 @@ def rand_local_search(
 ) -> SearchOutcome:
     """One random repair walk from a candidate pair with |frozen| = r.
 
-    Each of at most n - r iterations: a fully frozen rainbow edge fails the
-    walk; no rainbow edge certifies the coloring; no edge with exactly r-1
-    frozen nodes certifies the background completion; otherwise the unfrozen
-    node of the lowest qualifying rainbow edge (or, when no rainbow edge
-    qualifies, a uniformly random unfrozen node of the lowest-index rainbow
-    edge with the most frozen members) is recolored to a uniformly random
-    other color and frozen. trace, when given, records (node, old, new)
-    per recoloring.
+    Each of at most n - r iterations is evaluated afresh from the per-edge
+    rainbow flags and frozen counts of edge_state, as in the det search: no
+    rainbow edge certifies the coloring; a fully frozen rainbow edge fails
+    the walk; no edge with exactly r-1 frozen nodes certifies the background
+    completion; otherwise the unfrozen node of the lowest rainbow edge with
+    r-1 frozen nodes (or, when no rainbow edge has one, a uniformly random
+    unfrozen node of the lowest-index rainbow edge with the most frozen
+    nodes) is recolored to a uniformly random other color and frozen.
+    trace, when given, records (node, old, new) per recoloring.
     """
-    frozen = set(frozen)
-    if len(frozen) != hg.r:
-        raise ValueError(f"start needs exactly r={hg.r} frozen nodes, got {len(frozen)}")
-    validate_candidate_pair(hg, coloring, frozen)
+    frozen_nodes = set(frozen)
+    if len(frozen_nodes) != hg.r:
+        raise ValueError(f"start needs exactly r={hg.r} frozen nodes, got {len(frozen_nodes)}")
+    validate_candidate_pair(hg, coloring, frozen_nodes)
     stats = SearchStats(trials=1)
     t0 = time.perf_counter()
-    state = SearchState(hg, coloring, frozen)
+    colors = np.array(coloring, dtype=np.intp)
+    frozen = np.zeros(hg.n, dtype=bool)
+    frozen[list(frozen_nodes)] = True
     certificate = None
-    failed = False
     for _ in range(hg.n - hg.r):
         stats.recursion_nodes += 1
-        if state.frozen_rainbow_edges > 0:
-            failed = True
+        rainbow, frozen_count = edge_state(hg, colors, frozen)
+        if not rainbow.any():
+            certificate = colors.tolist()
             break
-        if state.rainbow_edges == 0:
-            certificate = list(state.coloring)
+        if (frozen_count[rainbow] == hg.r).any():
             break
-        if state.near_frozen_edges == 0:
-            certificate = background_completion(hg, state.coloring, state.frozen)
+        if not (frozen_count == hg.r - 1).any():
+            certificate = background_completion(hg, colors.tolist(), set(np.flatnonzero(frozen).tolist()))
             break
-        target = state.branch_target()
-        if target is not None:
-            v = target.node
-        else:
-            ei = state.fallback_edge()
-            unfrozen = [u for u in hg.edges[ei] if u not in state.frozen]
+        v = branch_node(hg, frozen, rainbow, frozen_count)
+        if v is None:
+            edge = hg.edges[int(np.argmax(np.where(rainbow, frozen_count, -1)))]
+            unfrozen = [u for u in edge if not frozen[u]]
             v = unfrozen[int(rng.integers(len(unfrozen)))]
-        old = state.coloring[v]
+        old = int(colors[v])
         color = int(rng.integers(hg.r - 1)) + 1
         if color >= old:
             color += 1
         if trace is not None:
             trace.append((v, old, color))
-        state.recolor(v, color)
-        state.freeze(v)
+        colors[v] = color
+        frozen[v] = True
     stats.elapsed = time.perf_counter() - t0
     stats.max_start_nodes = stats.recursion_nodes
-    if certificate is None or failed:
+    if certificate is None:
         return SearchOutcome(NOT_COLORABLE, None, stats)
     if not is_no_rainbow_coloring(hg, certificate):
         raise RuntimeError("internal error: walk produced an invalid certificate")

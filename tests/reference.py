@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from norainbow import BranchTarget, Hypergraph, is_rainbow_edge
+from norainbow import Hypergraph, is_rainbow_edge
 
 
 def hamming(a: list[int], b: list[int]) -> int:
@@ -15,11 +15,11 @@ def hamming(a: list[int], b: list[int]) -> int:
 
 def select_branch_edge(
     hg: Hypergraph, coloring: list[int], frozen: set[int]
-) -> Optional[BranchTarget]:
+) -> Optional[tuple[int, int]]:
     """Lowest-index rainbow edge with exactly r-1 frozen nodes, paired with
     its unique unfrozen node; None when no edge qualifies."""
     for ei, e in enumerate(hg.edges):
         unfrozen = [v for v in e if v not in frozen]
         if len(unfrozen) == 1 and is_rainbow_edge(hg, coloring, ei):
-            return BranchTarget(ei, unfrozen[0])
+            return ei, unfrozen[0]
     return None

@@ -213,25 +213,31 @@ def test_c8_reproducibility_byte_identical(tmp_path):
         [sys.executable, "-m", "norainbow.cli", "solve", str(ppath)], capture_output=True
     )
     cert.write_bytes(first.stdout)
+    # (argv, expected exit code): a run that fails the same way twice is
+    # reproducible but proves nothing
     commands = [
-        ["solve", str(ppath), "--algo", "det"],
-        ["solve", str(ppath), "--algo", "rand", "--seed", "7", "--alpha", "2.5"],
-        ["solve", str(ppath), "--algo", "oracle"],
-        ["oracle", str(ppath)],
-        ["gen", "planted", "--n", "9", "--r", "3", "--m", "10", "--seed", "3"],
-        ["decisive", str(c54)],
-        ["verify", str(ppath), str(cert)],
+        (["solve", str(ppath), "--algo", "det"], 10),
+        (["solve", str(ppath), "--algo", "rand", "--seed", "7", "--alpha", "2.5"], 10),
+        (["solve", str(ppath), "--algo", "oracle"], 10),
+        (["oracle", str(ppath)], 10),
+        (["gen", "planted", "--n", "9", "--r", "3", "--m", "10", "--seed", "3"], 0),
+        (["decisive", str(c54)], 30),
+        (["verify", str(ppath), str(cert)], 0),
     ]
     diffs = 0
-    for argv in commands:
+    bad_exits = [] if first.returncode == 10 else [("solve", first.returncode)]
+    for argv, expected in commands:
         cmd = [sys.executable, "-m", "norainbow.cli", *argv]
         a = subprocess.run(cmd, capture_output=True)
         b = subprocess.run(cmd, capture_output=True)
         diffs += (a.stdout, a.stderr, a.returncode) != (b.stdout, b.stderr, b.returncode)
+        if a.returncode != expected:
+            bad_exits.append((argv[0], a.returncode))
     _report(
         "C8 reproducibility",
-        diffs == 0,
-        f"{len(commands)} CLI invocations run twice, {diffs} with differing bytes",
+        diffs == 0 and not bad_exits,
+        f"{len(commands)} CLI invocations run twice, {diffs} with differing bytes; "
+        f"unexpected exit codes {bad_exits}",
     )
 
 

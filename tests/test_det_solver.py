@@ -114,13 +114,13 @@ def test_trace_invariants():
         initial = list(pair.coloring)
         seen = []
 
-        def watch(depth, state):
+        def watch(depth, coloring, frozen):
             seen.append(depth)
             assert depth <= g
-            assert hamming(initial, state.coloring) == depth
-            assert len(state.frozen) == len(pair.frozen) + depth
-            assert pair.frozen <= state.frozen
-            assert all(state.coloring[v] == initial[v] for v in pair.frozen)
+            assert hamming(initial, coloring.tolist()) == depth
+            assert frozen.sum() == len(pair.frozen) + depth
+            assert frozen[sorted(pair.frozen)].all()
+            assert all(coloring[v] == initial[v] for v in pair.frozen)
 
         local_search(hg, pair, g, trace=watch)
         assert seen[0] == 0
@@ -133,7 +133,7 @@ def test_unsat_standard_nodes_have_r_minus_1_children():
     g = search_radius(hg.n, hg.r)
     for pair in list(enumerate_initial_pairs(hg))[:8]:
         trace = []
-        local_search(hg, pair, g, trace=lambda d, s: trace.append(d))
+        local_search(hg, pair, g, trace=lambda d, c, f: trace.append(d))
         children = [0] * len(trace)
         stack = []
         for i, depth in enumerate(trace):

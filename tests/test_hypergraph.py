@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from norainbow import (
-    BranchTarget,
     Hypergraph,
     ParseError,
-    SearchState,
     background_completion,
+    branch_node,
     completion_safe,
+    edge_state,
     first_rainbow_edge,
     has_fully_frozen_rainbow,
     is_no_rainbow_coloring,
@@ -45,11 +47,6 @@ def test_bad_edges_rejected():
         Hypergraph(3, 3, ((0, 1, 1),))
     with pytest.raises(ValueError):
         Hypergraph(3, 1, ())
-
-
-def test_incidence():
-    hg = Hypergraph(5, 3, ((0, 1, 2), (2, 3, 4)))
-    assert hg.incidence == ((0,), (0,), (0, 1), (1,), (1,))
 
 
 # --- parse / write ----------------------------------------------------------
@@ -280,7 +277,7 @@ def test_background_completion_output_always_verifies(hg, rng):
 
 def test_select_branch_edge_single():
     hg = Hypergraph(4, 3, ((0, 1, 3),))
-    assert select_branch_edge(hg, [1, 2, 3, 3], {0, 1, 2}) == BranchTarget(0, 3)
+    assert select_branch_edge(hg, [1, 2, 3, 3], {0, 1, 2}) == (0, 3)
 
 
 def test_select_branch_edge_absent_without_rainbow():
@@ -295,48 +292,43 @@ def test_select_branch_edge_lowest_index():
     frozen = {0, 1, 3}
     # edge 0 is not rainbow; edges 1 and 2 both qualify; the lowest wins
     got = select_branch_edge(hg, coloring, frozen)
-    assert got == BranchTarget(1, 4)
+    assert got == (1, 4)
 
 
-# --- incremental state ------------------------------------------------------
+# --- per-node evaluation ----------------------------------------------------
 
 
 def _naive_counters(hg, coloring, frozen):
-    distinct, fcount = [], []
-    for e in hg.edges:
-        distinct.append(len({coloring[v] for v in e}))
-        fcount.append(sum(1 for v in e if v in frozen))
-    rainbow = sum(1 for d in distinct if d == hg.r)
-    near = sum(1 for f in fcount if f == hg.r - 1)
-    frozen_rainbow = sum(
-        1 for d, f in zip(distinct, fcount) if d == hg.r and f == hg.r
-    )
-    return distinct, fcount, rainbow, near, frozen_rainbow
+    rainbow = [len({coloring[v] for v in e}) == hg.r for e in hg.edges]
+    fcount = [sum(1 for v in e if v in frozen) for e in hg.edges]
+    return rainbow, fcount
 
 
-@settings(max_examples=60)
-@given(colored_hypergraphs(), st.randoms(use_true_random=False))
-def test_search_state_matches_naive_recount(pair, rng):
+def _arrays(hg, coloring, frozen):
+    mask = np.zeros(hg.n, dtype=bool)
+    mask[list(frozen)] = True
+    return np.array(coloring, dtype=np.intp), mask
+
+
+@settings(max_examples=200)
+@given(colored_hypergraphs(max_r=5), st.randoms(use_true_random=False))
+def test_edge_state_matches_naive_recount(pair, rng):
     hg, coloring = pair
-    state = SearchState(hg, coloring, set())
-    for _ in range(20):
-        move = rng.random()
-        if hg.n and move < 0.6:
-            state.recolor(rng.randrange(hg.n), rng.randint(1, hg.r))
-        elif hg.n and move < 0.8:
-            v = rng.randrange(hg.n)
-            state.unfreeze(v) if v in state.frozen else state.freeze(v)
-        distinct, fcount, rainbow, near, frozen_rainbow = _naive_counters(
-            hg, state.coloring, state.frozen
-        )
-        assert state.distinct == distinct
-        assert state.frozen_count == fcount
-        assert state.rainbow_edges == rainbow
-        assert state.near_frozen_edges == near
-        assert state.frozen_rainbow_edges == frozen_rainbow
+    frozen = set(rng.sample(range(hg.n), rng.randint(0, hg.n)))
+    rainbow, fcount = edge_state(hg, *_arrays(hg, coloring, frozen))
+    assert (rainbow.tolist(), fcount.tolist()) == _naive_counters(hg, coloring, frozen)
 
 
-def test_search_state_branch_target_matches_pure_function():
+def test_edge_state_beyond_int64_color_bits():
+    # 70 colors overflow an int64 bit mask; the rainbow flag must not
+    hg = Hypergraph(71, 70, (tuple(range(70)), tuple(range(1, 71))))
+    coloring = list(range(1, 71)) + [1]
+    frozen = set(range(0, 71, 2))
+    rainbow, fcount = edge_state(hg, *_arrays(hg, coloring, frozen))
+    assert (rainbow.tolist(), fcount.tolist()) == _naive_counters(hg, coloring, frozen)
+
+
+def test_branch_node_matches_pure_function():
     rng = random.Random(5)
     for _ in range(200):
         r = rng.choice([3, 4])
@@ -344,5 +336,7 @@ def test_search_state_branch_target_matches_pure_function():
         hg = gen_random(n, rng.randint(0, min(8, math.comb(n, r))), r, rng.randrange(10**6))
         coloring = [rng.randint(1, r) for _ in range(n)]
         frozen = set(rng.sample(range(n), rng.randint(0, n)))
-        state = SearchState(hg, coloring, frozen)
-        assert state.branch_target() == select_branch_edge(hg, coloring, frozen)
+        colors, mask = _arrays(hg, coloring, frozen)
+        expected = select_branch_edge(hg, coloring, frozen)
+        got = branch_node(hg, mask, *edge_state(hg, colors, mask))
+        assert got == (None if expected is None else expected[1])
