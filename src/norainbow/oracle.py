@@ -1,13 +1,17 @@
 """Brute-force ground truth by exhaustive enumeration of all r^n colorings.
 
 oracle_decide counts every surjective no-rainbow coloring exactly, with no
-symmetry shortcuts; the enumeration is chunked through numpy so that desk
-sizes (r=3 up to n=16, r=4 up to n=13) are tractable. oracle_verify_certificate
-is a deliberately naive, standalone re-statement of the definition used to
+symmetry shortcuts. It splits the nodes into a prefix and a suffix of k
+nodes: the colors of the suffix's r^k colorings, one bit per color, are
+OR-ed once per edge into a table, and each prefix coloring is then tested
+against all of them in one vectorized pass, so that desk sizes (r=3 up to
+n=16, r=4 up to n=13) are tractable. oracle_verify_certificate is a
+deliberately naive, standalone re-statement of the definition used to
 cross-check every certificate any solver emits.
 """
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -18,6 +22,8 @@ from .hypergraph import COLORABLE, NOT_COLORABLE, Hypergraph
 
 DEFAULT_BUDGET = 10**8
 BUDGET_ENV_VAR = "NRC_ORACLE_BUDGET"
+# Cells in the suffix table (suffix colorings x (edges + 1)); sets k.
+_TABLE_CELLS = 1 << 20
 
 
 @dataclass
@@ -41,43 +47,62 @@ def oracle_decide(hg: Hypergraph, budget: Optional[int] = None) -> OracleReport:
     significant) and count the surjective ones inducing no rainbow edge.
     The sample witness is the first in enumeration order.
 
+    The last k nodes form the suffix, k as large as keeps its table of
+    r^k rows by m + 1 masks within _TABLE_CELLS cells. Colors are bits, so
+    the table holds, per suffix coloring and edge, the OR of the edge's
+    suffix colors, next to the OR of all suffix colors. For each coloring of the first n-k
+    nodes, in counting order, a suffix row is a witness when the two used
+    masks together cover every color and no edge's two masks do.
+
     Refuses instances needing more than the budget (parameter, else the
     NRC_ORACLE_BUDGET environment variable, else 10^8 colorings).
     """
     budget = resolve_budget(budget)
-    total = hg.r**hg.n
+    n, r, m = hg.n, hg.r, hg.m
+    total = r**n
     if total > budget:
         raise ValueError(
             f"enumeration needs {total} colorings, over budget {budget}; "
             f"pass budget>={total} to force"
         )
-    if hg.n == 0:
+    if n < r:  # no coloring is surjective
         return OracleReport(NOT_COLORABLE, 0, None)
 
-    n, r = hg.n, hg.r
-    powers = np.array([r ** (n - 1 - k) for k in range(n)], dtype=np.int64)
-    edges_arr = np.array(hg.edges, dtype=np.int64) if hg.m else None
-    per_row = max(1, hg.m * r + n * r)
-    chunk = int(max(1024, min(1 << 16, 10**7 // per_row)))
+    k = n
+    while k and r**k * (m + 1) > _TABLE_CELLS:
+        k -= 1
+    split = n - k
+    dtype = np.min_scalar_type((1 << r) - 1)
+    color_bit = np.array([1 << c for c in range(r)], dtype=dtype)
+    full = dtype.type((1 << r) - 1)
+    edges = np.array(hg.edges, dtype=np.intp).reshape(m, r)
 
+    # Suffix table, rows in counting order of the last k nodes.
+    rows = np.arange(r**k, dtype=np.int64)
+    suffix_used = np.zeros(r**k, dtype=dtype)
+    suffix_edge = np.zeros((r**k, m), dtype=dtype)
+    for j in range(k):
+        bit = color_bit[rows // r ** (k - 1 - j) % r]
+        suffix_used |= bit
+        on_edge = np.flatnonzero((edges == split + j).any(axis=1))
+        suffix_edge[:, on_edge] |= bit[:, None]
+
+    # Prefix nodes index their own bits; suffix nodes index a trailing 0.
+    prefix_cols = np.where(edges < split, edges, split)
     witness_count = 0
     sample: Optional[list[int]] = None
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        colorings = (idx[:, None] // powers[None, :]) % r  # colors 0..r-1
-        valid = np.ones(hi - lo, dtype=bool)
-        for c in range(r):
-            valid &= (colorings == c).any(axis=1)
-        if edges_arr is not None and valid.any():
-            on_edges = colorings[:, edges_arr]  # (rows, m, r)
-            on_edges = np.sort(on_edges, axis=2)
-            rainbow = (np.diff(on_edges, axis=2) != 0).all(axis=2)  # (rows, m)
-            valid &= ~rainbow.any(axis=1)
-        found = int(valid.sum())
+    for prefix in itertools.product(range(r), repeat=split):
+        bits = np.append(color_bit[list(prefix)], dtype.type(0))
+        prefix_edge = np.bitwise_or.reduce(bits[prefix_cols], axis=1)
+        if (prefix_edge == full).any():
+            continue  # an edge is rainbow within the prefix alone
+        ok = (suffix_used | np.bitwise_or.reduce(bits)) == full
+        ok &= ~((suffix_edge | prefix_edge) == full).any(axis=1)
+        found = int(np.count_nonzero(ok))
         if found and sample is None:
-            row = int(np.argmax(valid))
-            sample = [int(c) + 1 for c in colorings[row]]
+            row = int(np.argmax(ok))
+            suffix = [row // r ** (k - 1 - j) % r for j in range(k)]
+            sample = [c + 1 for c in (*prefix, *suffix)]
         witness_count += found
 
     decision = COLORABLE if witness_count > 0 else NOT_COLORABLE

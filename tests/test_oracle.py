@@ -5,11 +5,12 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from norainbow import Hypergraph, is_no_rainbow_coloring
+from norainbow import Hypergraph, is_no_rainbow_coloring, oracle
 from norainbow.hypergraph import COLORABLE, NOT_COLORABLE
 from norainbow.instances import gen_complete, gen_random
 from norainbow.oracle import (
     BUDGET_ENV_VAR,
+    OracleReport,
     oracle_decide,
     oracle_verify_certificate,
     resolve_budget,
@@ -19,15 +20,27 @@ from strategies import colored_hypergraphs
 
 
 def naive_count(hg):
-    """Third-opinion enumerator, kept deliberately tiny."""
-    count = 0
+    """Third-opinion enumerator, kept deliberately tiny. Returns the count
+    and the first witness in itertools.product order (None if there is none)."""
+    count, first = 0, None
     for colors in itertools.product(range(1, hg.r + 1), repeat=hg.n):
         if set(colors) != set(range(1, hg.r + 1)):
             continue
         if any(len({colors[v] for v in e}) == hg.r for e in hg.edges):
             continue
         count += 1
-    return count
+        if first is None:
+            first = list(colors)
+    return count, first
+
+
+def random_instances(seed, count, max_n):
+    rng = random.Random(seed)
+    for _ in range(count):
+        r = rng.choice([2, 3, 4])
+        n = rng.randint(r, max_n)
+        m = rng.randint(0, min(8, math.comb(n, r)))
+        yield gen_random(n, m, r, rng.randrange(10**6))
 
 
 def test_forced_single_edge():
@@ -65,16 +78,46 @@ def test_budget_env_var(monkeypatch):
 
 
 def test_matches_naive_enumeration():
-    rng = random.Random(7)
-    for _ in range(40):
-        r = rng.choice([2, 3, 4])
-        n = rng.randint(r, 6)
-        m = rng.randint(0, min(8, math.comb(n, r)))
-        hg = gen_random(n, m, r, rng.randrange(10**6))
+    for hg in random_instances(7, 40, 6):
         report = oracle_decide(hg)
-        assert report.witness_count == naive_count(hg)
+        assert (report.witness_count, report.sample_witness) == naive_count(hg)
         if report.sample_witness is not None:
             assert oracle_verify_certificate(hg, report.sample_witness)
+
+
+@pytest.mark.parametrize("cells", [1, 4, 30])
+def test_forced_split_matches_naive_enumeration(monkeypatch, cells):
+    # A small table cap shortens the suffix, so the prefix loop runs many
+    # times; at 1 cell the suffix is empty and every coloring is a prefix.
+    monkeypatch.setattr(oracle, "_TABLE_CELLS", cells)
+    for hg in random_instances(cells, 70, 7):
+        report = oracle_decide(hg)
+        assert (report.witness_count, report.sample_witness) == naive_count(hg)
+
+
+@pytest.mark.parametrize(
+    "spec, count, sample",
+    [
+        ((10, 20, 4, 7), 87_984, [1, 1, 1, 1, 1, 1, 1, 2, 3, 4]),
+        ((12, 24, 3, 2000), 6_516, [1, 1, 1, 1, 1, 1, 1, 1, 2, 3, 1, 2]),
+    ],
+)
+def test_pinned_counts(spec, count, sample):
+    # Values recorded with the earlier sort-based enumerator. Under the
+    # default cap the prefix loop runs 64 and 27 times on these.
+    report = oracle_decide(gen_random(*spec))
+    assert (report.decision, report.witness_count, report.sample_witness) == (
+        COLORABLE,
+        count,
+        sample,
+    )
+
+
+def test_fewer_nodes_than_colors_is_uncolorable():
+    for hg in (Hypergraph(1, 70), Hypergraph(2, 3)):
+        assert oracle_decide(hg) == OracleReport(NOT_COLORABLE, 0, None)
+    with pytest.raises(ValueError, match="over budget 8"):
+        oracle_decide(Hypergraph(2, 3), budget=8)
 
 
 def test_witness_count_invariant_under_relabeling():
