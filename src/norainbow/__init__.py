@@ -6,18 +6,14 @@ from .det_solver import det_nrc, enumerate_initial_pairs, local_search, search_r
 from .hypergraph import (
     COLORABLE,
     NOT_COLORABLE,
-    CandidatePair,
     Hypergraph,
     ParseError,
     SearchOutcome,
     SearchStats,
-    background_completion,
     branch_node,
-    completion_safe,
     edge_state,
     first_rainbow_edge,
     format_certificate,
-    has_fully_frozen_rainbow,
     is_no_rainbow_coloring,
     is_rainbow_edge,
     parse_certificate,

@@ -67,7 +67,7 @@ def _solve_with(hg: Hypergraph, args) -> tuple[str, Optional[list[int]], object]
     """Run the chosen decider; returns (decision, certificate, stats)."""
     if args.algo == "det":
         radius = getattr(args, "radius", None)
-        if radius is not None and hg.n >= hg.r and radius < search_radius(hg.n, hg.r):
+        if radius is not None and hg.n >= hg.r and 0 <= radius < search_radius(hg.n, hg.r):
             print(
                 f"c warning: radius {radius} below default "
                 f"{search_radius(hg.n, hg.r)}; completeness not guaranteed"

@@ -1,10 +1,10 @@
-"""Deterministic branching local search over frozen candidate pairs.
+"""Deterministic branching local search from (subset, b) starts.
 
-Every start is an r-subset F given the colors 1..r in node order plus a
-uniform background color; the search recolors one unfrozen node of a
-nearly-frozen rainbow edge per level, freezing it, until it either proves
-the start hopeless or can exhibit a certificate. The radius bound keeps
-each start's tree at most (r-1)-ary of bounded depth.
+Every start is an r-subset F frozen on the colors 1..r in node order over
+one background color b on every other node; the search recolors one
+unfrozen node of a nearly-frozen rainbow edge per level, freezing it, until
+it either proves the start hopeless or can exhibit a certificate. The
+radius bound keeps each start's tree at most (r-1)-ary of bounded depth.
 """
 from __future__ import annotations
 
@@ -19,14 +19,12 @@ import numpy as np
 from .hypergraph import (
     COLORABLE,
     NOT_COLORABLE,
-    CandidatePair,
     Hypergraph,
     SearchOutcome,
     SearchStats,
     branch_node,
     edge_state,
     is_no_rainbow_coloring,
-    validate_candidate_pair,
 )
 from .parallel import search_ranges
 
@@ -41,19 +39,15 @@ def search_radius(n: int, r: int) -> int:
     return (r - 1) * n // r
 
 
-def enumerate_initial_pairs(hg: Hypergraph) -> Iterator[CandidatePair]:
-    """Yield every start: for each r-subset F (ascending) and each background
-    color b in 1..r, the coloring giving F's nodes colors 1..r in node order
-    and b everywhere else. Exactly C(n, r) * r pairs."""
+def enumerate_initial_pairs(hg: Hypergraph) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield every start as (subset, b): each r-subset F in ascending order,
+    and for each, each background color b in 1..r. Exactly C(n, r) * r
+    starts."""
     if hg.n < hg.r:
         raise ValueError(f"no surjective start exists for n={hg.n} < r={hg.r}")
     for subset in itertools.combinations(range(hg.n), hg.r):
-        frozen = frozenset(subset)
         for b in range(1, hg.r + 1):
-            coloring = [b] * hg.n
-            for color, v in enumerate(subset, start=1):
-                coloring[v] = color
-            yield CandidatePair(coloring, frozen)
+            yield subset, b
 
 
 def initial_pair_count(n: int, r: int) -> int:
@@ -62,12 +56,14 @@ def initial_pair_count(n: int, r: int) -> int:
 
 def local_search(
     hg: Hypergraph,
-    pair: CandidatePair,
+    subset: tuple[int, ...],
+    b: int,
     radius: int,
     trace: Optional[TraceFn] = None,
 ) -> SearchOutcome:
-    """Bounded-radius search from one candidate pair whose unfrozen nodes
-    all share one background color, as every det_nrc start does.
+    """Bounded-radius search from the start (subset, b): the subset's r
+    nodes frozen on the colors 1..r in ascending node order, every other
+    node unfrozen on the background color b.
 
     Each search node is evaluated afresh from the per-edge rainbow flags and
     frozen counts of edge_state. Case order per node: no rainbow edge ->
@@ -79,19 +75,22 @@ def local_search(
     has at most one unfrozen node; once no rainbow edge is fully frozen,
     each has exactly one, and the tree is (r-1)-ary. trace, when given, is
     called as trace(depth, coloring, frozen) at every node with the live
-    color array and frozen mask. Raises ValueError on a pair with a
-    non-uniform background.
+    color array and frozen mask. Raises ValueError unless radius >= 0, the
+    subset is r distinct nodes of 0..n-1 and b is in 1..r.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    validate_candidate_pair(hg, pair.coloring, pair.frozen)
-    if len({c for v, c in enumerate(pair.coloring) if v not in pair.frozen}) > 1:
-        raise ValueError("local_search needs one background color on every unfrozen node")
+    nodes = sorted(subset)
+    if len(nodes) != hg.r or len(set(nodes)) != hg.r or nodes[0] < 0 or nodes[-1] >= hg.n:
+        raise ValueError(f"subset must be {hg.r} distinct nodes in 0..{hg.n - 1}, got {tuple(subset)}")
+    if not 1 <= b <= hg.r:
+        raise ValueError(f"background color {b} outside 1..{hg.r}")
     stats = SearchStats(trials=1)
     t0 = time.perf_counter()
-    coloring = np.array(pair.coloring, dtype=np.intp)
+    coloring = np.full(hg.n, b, dtype=np.intp)
+    coloring[nodes] = np.arange(1, hg.r + 1)
     frozen = np.zeros(hg.n, dtype=bool)
-    frozen[list(pair.frozen)] = True
+    frozen[nodes] = True
     certificate = _search(hg, coloring, frozen, radius, 0, stats, trace)
     stats.elapsed = time.perf_counter() - t0
     stats.max_start_nodes = stats.recursion_nodes
@@ -137,8 +136,8 @@ def _search(
 
 
 def det_nrc(hg: Hypergraph, radius: Optional[int] = None, workers: int = 1) -> SearchOutcome:
-    """Decide no-rainbow r-colorability by trying every initial candidate
-    pair at the full search radius; stops at the first certified success.
+    """Decide no-rainbow r-colorability by trying every (subset, b) start
+    at the full search radius; stops at the first certified success.
 
     n < r admits no surjective coloring, so the answer is immediate. With
     workers > 1 the starts are searched in parallel chunks; the decision is
@@ -146,6 +145,8 @@ def det_nrc(hg: Hypergraph, radius: Optional[int] = None, workers: int = 1) -> S
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if radius is not None and radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
     t0 = time.perf_counter()
     stats = SearchStats()
     certificate = None
@@ -161,8 +162,8 @@ def det_nrc(hg: Hypergraph, radius: Optional[int] = None, workers: int = 1) -> S
 
 
 def _det_range(hg: Hypergraph, lo: int, hi: int, stats: SearchStats, radius: int) -> Optional[list[int]]:
-    for pair in itertools.islice(enumerate_initial_pairs(hg), lo, hi):
-        outcome = local_search(hg, pair, radius)
+    for subset, b in itertools.islice(enumerate_initial_pairs(hg), lo, hi):
+        outcome = local_search(hg, subset, b, radius)
         stats.absorb(outcome.stats)
         if outcome.colorable:
             return outcome.certificate

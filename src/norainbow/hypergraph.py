@@ -63,17 +63,6 @@ class Hypergraph:
 
 
 @dataclass
-class CandidatePair:
-    """A surjective coloring plus a frozen node set covering every color.
-
-    Frozen nodes keep their color for the rest of a search.
-    """
-
-    coloring: list[int]
-    frozen: frozenset[int]
-
-
-@dataclass
 class SearchStats:
     """Work counters for one solver run.
 
@@ -233,45 +222,6 @@ def validate_candidate_pair(hg: Hypergraph, coloring: list[int], frozen: Iterabl
         raise ValueError(
             f"frozen set must witness every color 1..{hg.r}, has {sorted(frozen_colors)}"
         )
-
-
-def has_fully_frozen_rainbow(hg: Hypergraph, coloring: list[int], frozen: set[int]) -> bool:
-    """True when some rainbow edge lies entirely inside the frozen set: a
-    dead end, since no node of that edge may be recolored."""
-    for ei, e in enumerate(hg.edges):
-        if all(v in frozen for v in e) and is_rainbow_edge(hg, coloring, ei):
-            return True
-    return False
-
-
-def completion_safe(hg: Hypergraph, frozen: set[int]) -> bool:
-    """True when no edge has exactly r-1 frozen nodes. Then any edge is
-    either fully frozen or keeps two nodes free to share the fill color,
-    so background_completion below cannot create a rainbow edge."""
-    target = hg.r - 1
-    for e in hg.edges:
-        if sum(1 for v in e if v in frozen) == target:
-            return False
-    return True
-
-
-def background_completion(hg: Hypergraph, coloring: list[int], frozen: set[int]) -> list[int]:
-    """Keep frozen colors, recolor every other node to 1, and return the
-    result, which is verified to be a no-rainbow coloring before it leaves.
-
-    Requires a candidate pair with completion_safe and no fully frozen
-    rainbow edge; verification failure means a bug and raises rather than
-    ever returning an unverified certificate.
-    """
-    validate_candidate_pair(hg, coloring, frozen)
-    if has_fully_frozen_rainbow(hg, coloring, frozen):
-        raise ValueError("fully frozen rainbow edge: completion impossible")
-    if not completion_safe(hg, frozen):
-        raise ValueError("some edge has exactly r-1 frozen nodes: completion unsafe")
-    completed = [coloring[v] if v in frozen else 1 for v in range(hg.n)]
-    if not is_no_rainbow_coloring(hg, completed):
-        raise RuntimeError("internal error: background completion failed verification")
-    return completed
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,10 @@ def resolve_budget(budget: Optional[int] = None) -> int:
         return budget
     env = os.environ.get(BUDGET_ENV_VAR)
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
     return DEFAULT_BUDGET
 
 

@@ -24,7 +24,6 @@ from .hypergraph import (
     Hypergraph,
     SearchOutcome,
     SearchStats,
-    background_completion,
     branch_node,
     edge_state,
     is_no_rainbow_coloring,
@@ -68,11 +67,12 @@ def rand_local_search(
     Each of at most n - r iterations is evaluated afresh from the per-edge
     rainbow flags and frozen counts of edge_state, as in the det search: no
     rainbow edge certifies the coloring; a fully frozen rainbow edge fails
-    the walk; no edge with exactly r-1 frozen nodes certifies the background
-    completion; otherwise the unfrozen node of the lowest rainbow edge with
-    r-1 frozen nodes (or, when no rainbow edge has one, a uniformly random
-    unfrozen node of the lowest-index rainbow edge with the most frozen
-    nodes) is recolored to a uniformly random other color and frozen.
+    the walk; no edge with exactly r-1 frozen nodes certifies the frozen
+    colors with every unfrozen node set to 1; otherwise the unfrozen node of
+    the lowest rainbow edge with r-1 frozen nodes (or, when no rainbow edge
+    has one, a uniformly random unfrozen node of the lowest-index rainbow
+    edge with the most frozen nodes) is recolored to a uniformly random
+    other color and frozen.
     trace, when given, records (node, old, new) per recoloring.
     """
     frozen_nodes = set(frozen)
@@ -94,7 +94,8 @@ def rand_local_search(
         if (frozen_count[rainbow] == hg.r).any():
             break
         if not (frozen_count == hg.r - 1).any():
-            certificate = background_completion(hg, colors.tolist(), set(np.flatnonzero(frozen).tolist()))
+            # no edge has r-1 frozen nodes: an edge with a free node has two, now both 1
+            certificate = np.where(frozen, colors, 1).tolist()
             break
         v = branch_node(hg, frozen, rainbow, frozen_count)
         if v is None:
@@ -157,6 +158,8 @@ def rand_nrc(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if not alpha > 1:
+        raise ValueError(f"alpha must be > 1, got {alpha}")
     t0 = time.perf_counter()
     stats = SearchStats()
     if hg.n < hg.r:

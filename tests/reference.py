@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from norainbow import Hypergraph, is_rainbow_edge
+from norainbow import Hypergraph, first_rainbow_edge, is_rainbow_edge
 
 
 def hamming(a: list[int], b: list[int]) -> int:
@@ -23,3 +23,25 @@ def select_branch_edge(
         if len(unfrozen) == 1 and is_rainbow_edge(hg, coloring, ei):
             return ei, unfrozen[0]
     return None
+
+
+def has_fully_frozen_rainbow(hg: Hypergraph, coloring: list[int], frozen: set[int]) -> bool:
+    """True when some rainbow edge lies entirely inside the frozen set: a
+    dead end, since no node of that edge may be recolored."""
+    for ei, e in enumerate(hg.edges):
+        if all(v in frozen for v in e) and is_rainbow_edge(hg, coloring, ei):
+            return True
+    return False
+
+
+def completion_exit(hg: Hypergraph, coloring: list[int], frozen: set[int]) -> Optional[list[int]]:
+    """The certificate a random walk from (coloring, frozen) returns at its
+    first step through the completion exit: some edge is rainbow, none of
+    them fully frozen, and no edge has exactly r-1 frozen nodes, so the
+    frozen colors with every other node set to 1 are a no-rainbow coloring.
+    None when the first step takes another exit."""
+    if first_rainbow_edge(hg, coloring) is None or has_fully_frozen_rainbow(hg, coloring, frozen):
+        return None
+    if any(sum(v in frozen for v in e) == hg.r - 1 for e in hg.edges):
+        return None
+    return [coloring[v] if v in frozen else 1 for v in range(hg.n)]

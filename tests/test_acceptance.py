@@ -17,7 +17,6 @@ from norainbow import (
     COLORABLE,
     NOT_COLORABLE,
     Hypergraph,
-    background_completion,
     det_nrc,
     enumerate_initial_pairs,
     is_no_rainbow_coloring,
@@ -26,9 +25,10 @@ from norainbow import (
     search_radius,
     write_instance,
 )
-from norainbow.hypergraph import completion_safe, has_fully_frozen_rainbow
 from norainbow.instances import gen_complete, gen_planted, gen_random
 from norainbow.oracle import oracle_decide, oracle_verify_certificate
+
+from reference import completion_exit
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -97,7 +97,7 @@ def test_c2_certificate_soundness(det_corpus, planted_runs):
         if outcome.colorable:
             checked += 1
             bad += not oracle_verify_certificate(hg, outcome.certificate)
-    # background_completion outputs, exercised directly on random pairs
+    # the walk's completion exit, on random starts whose first step takes it
     rng = random.Random(5150)
     completions = 0
     while completions < 200:
@@ -108,11 +108,13 @@ def test_c2_certificate_soundness(det_corpus, planted_runs):
         coloring = [rng.randint(1, r) for _ in range(n)]
         for color, v in enumerate(sorted(frozen), start=1):
             coloring[v] = color
-        if has_fully_frozen_rainbow(hg, coloring, frozen) or not completion_safe(hg, frozen):
+        expected = completion_exit(hg, coloring, frozen)
+        if expected is None:
             continue
         completions += 1
         checked += 1
-        bad += not oracle_verify_certificate(hg, background_completion(hg, coloring, frozen))
+        certificate = rand_local_search(hg, coloring, frozen, np.random.default_rng(0)).certificate
+        bad += certificate != expected or not oracle_verify_certificate(hg, certificate)
     _report(
         "C2 certificate soundness",
         bad == 0,

@@ -212,7 +212,6 @@ def test_solve_threads_flag(capsys, planted, complete43):
     assert code == 20
 
 
-
 def test_solve_threads_must_be_positive(capsys, planted):
     for algo in ("det", "rand"):
         for threads in ("0", "-1"):
@@ -220,6 +219,34 @@ def test_solve_threads_must_be_positive(capsys, planted):
             assert code == 1
             assert out == ""
             assert err.startswith("error: workers must be >= 1")
+
+
+def test_solve_rand_alpha_checked_on_degenerate_inputs(capsys, tmp_path):
+    # n < r and m = 0 are answered without trials, but alpha is still checked
+    for header in ("p nrc 4 0 3", "p nrc 2 0 3"):
+        path = tmp_path / "d.nrc"
+        path.write_text(header + "\n")
+        code, out, err = run_cli(capsys, "solve", str(path), "--algo", "rand", "--alpha", "0.5")
+        assert (code, out) == (1, "")
+        assert err == "error: alpha must be > 1, got 0.5\n"
+
+
+def test_solve_negative_radius_errors_without_warning(capsys, zero_edge, tmp_path):
+    small = tmp_path / "small.nrc"
+    small.write_text("p nrc 2 0 3\n")
+    for path in (zero_edge, str(small)):
+        code, out, err = run_cli(capsys, "solve", path, "--radius", "-3")
+        assert (code, out) == (1, "")
+        assert err == "error: radius must be >= 0, got -3\n"
+
+
+def test_oracle_bad_budget_env_var_names_it(capsys, monkeypatch, complete43):
+    monkeypatch.setenv("NRC_ORACLE_BUDGET", "abc")
+    code, out, err = run_cli(capsys, "oracle", complete43)
+    assert (code, out) == (1, "")
+    assert err == "error: NRC_ORACLE_BUDGET must be an integer, got 'abc'\n"
+
+
 def test_solve_one_subset_flag(capsys, planted):
     runs = [
         run_cli(capsys, "solve", planted, "--algo", "rand", "--seed", "2", "--one-subset-per-trial")

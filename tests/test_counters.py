@@ -9,10 +9,9 @@ seeded rand runs must also keep every random draw in the same order.
 import pytest
 
 from norainbow import COLORABLE, NOT_COLORABLE, derive_rng, det_nrc, rand_local_search, rand_nrc
-from norainbow import rand_solver
 from norainbow.instances import gen_complete, gen_planted
 
-from test_det_solver import BRANCHY_UNSAT, FALLBACK_HG, FALLBACK_PAIR
+from test_det_solver import BRANCHY_UNSAT, FALLBACK_COLORING, FALLBACK_FROZEN, FALLBACK_HG
 
 INSTANCES = {
     "branchy": BRANCHY_UNSAT,
@@ -71,8 +70,9 @@ ONE_SUBSET = [
     (COLORABLE, "122323", 2, 1),
 ]
 
-# rand_local_search from FALLBACK_PAIR with derive_rng(i, 0, 0); the start
-# is the gap state, so every walk's first step is the fallback
+# rand_local_search from (FALLBACK_COLORING, FALLBACK_FROZEN) with
+# derive_rng(i, 0, 0); the start is the gap state, so every walk's first
+# step is the fallback
 WALKS = [
     (COLORABLE, "123313", 2, 1),
     (NOT_COLORABLE, None, 2, 1),
@@ -105,27 +105,17 @@ def test_rand_counters_pinned(name, seed):
     assert _counters(rand_nrc(INSTANCES[name], alpha=1.5, master_seed=seed)) == RAND[(name, seed)]
 
 
-def test_rand_one_subset_counters_pinned(monkeypatch):
-    completions = []
-    original = rand_solver.background_completion
-    monkeypatch.setattr(
-        rand_solver, "background_completion", lambda *a: completions.append(1) or original(*a)
-    )
+def test_rand_one_subset_counters_pinned():
     got = [
         _counters(rand_nrc(FALLBACK_HG, alpha=1.5, master_seed=seed, one_subset_per_trial=True))
         for seed in range(len(ONE_SUBSET))
     ]
     assert got == ONE_SUBSET
-    assert len(completions) == 2
 
 
 def test_walk_counters_pinned():
     got = [
-        _counters(
-            rand_local_search(
-                FALLBACK_HG, list(FALLBACK_PAIR.coloring), set(FALLBACK_PAIR.frozen), derive_rng(seed, 0, 0)
-            )
-        )
+        _counters(rand_local_search(FALLBACK_HG, FALLBACK_COLORING, FALLBACK_FROZEN, derive_rng(seed, 0, 0)))
         for seed in range(len(WALKS))
     ]
     assert got == WALKS

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from norainbow import (
     COLORABLE,
     NOT_COLORABLE,
-    CandidatePair,
     Hypergraph,
     det_nrc,
     enumerate_initial_pairs,
@@ -26,12 +25,14 @@ from strategies import hypergraphs
 # gen_random(6, 12, 3, 6) is NOT_COLORABLE and forces real branching
 BRANCHY_UNSAT = gen_random(6, 12, 3, 6)
 
-# (c, F) below is the gap state: edge (2,3,4) is rainbow with no frozen node
-# while edge (0,1,4) has exactly r-1 frozen members, so no rainbow edge has a
-# unique unfrozen node. Its background is not uniform, so no det start looks
-# like it; the rand walk can reach it and takes its fallback there.
+# (FALLBACK_COLORING, FALLBACK_FROZEN) below is the gap state: edge (2,3,4)
+# is rainbow with no frozen node while edge (0,1,4) has exactly r-1 frozen
+# members, so no rainbow edge has a unique unfrozen node. Its background is
+# not uniform, so no det start looks like it; the rand walk can reach it and
+# takes its fallback there.
 FALLBACK_HG = Hypergraph(6, 3, ((0, 1, 4), (2, 3, 4)))
-FALLBACK_PAIR = CandidatePair([1, 2, 2, 3, 1, 3], frozenset({0, 1, 5}))
+FALLBACK_COLORING = [1, 2, 2, 3, 1, 3]
+FALLBACK_FROZEN = frozenset({0, 1, 5})
 
 
 def test_search_radius_values():
@@ -54,16 +55,13 @@ def test_initial_pair_counts():
 
 
 def test_initial_pairs_structure():
-    pairs = list(enumerate_initial_pairs(Hypergraph(4, 3)))
-    assert len({(tuple(p.coloring), p.frozen) for p in pairs}) == 12
-    for pair in pairs:
-        frozen = sorted(pair.frozen)
-        assert [pair.coloring[v] for v in frozen] == [1, 2, 3]
-        background = {pair.coloring[v] for v in range(4) if v not in pair.frozen}
-        assert len(background) == 1
+    starts = list(enumerate_initial_pairs(Hypergraph(4, 3)))
+    assert len(set(starts)) == 12
+    for subset, b in starts:
+        assert list(subset) == sorted(subset) and len(subset) == 3
+        assert 1 <= b <= 3
     # subset-major, background-minor ordering
-    assert pairs[0].frozen == frozenset({0, 1, 2})
-    assert [p.coloring[3] for p in pairs[:3]] == [1, 2, 3]
+    assert starts[:3] == [((0, 1, 2), 1), ((0, 1, 2), 2), ((0, 1, 2), 3)]
 
 
 def test_initial_pairs_require_enough_nodes():
@@ -73,56 +71,65 @@ def test_initial_pairs_require_enough_nodes():
 
 def test_local_search_forced_instance():
     hg = Hypergraph(3, 3, ((0, 1, 2),))
-    for pair in enumerate_initial_pairs(hg):
+    for start in enumerate_initial_pairs(hg):
         for radius in (0, 1, 2, 5):
-            out = local_search(hg, pair, radius)
+            out = local_search(hg, *start, radius)
             assert out.decision == NOT_COLORABLE
 
 
 def test_local_search_zero_edges_zero_radius():
     hg = Hypergraph(5, 3)
-    pair = next(enumerate_initial_pairs(hg))
-    out = local_search(hg, pair, 0)
+    start = next(enumerate_initial_pairs(hg))
+    out = local_search(hg, *start, 0)
     assert out.decision == COLORABLE
     assert is_no_rainbow_coloring(hg, out.certificate)
 
 
 def test_local_search_complete_four_all_starts():
     hg = gen_complete(4, 3)
-    for pair in enumerate_initial_pairs(hg):
-        assert local_search(hg, pair, 2).decision == NOT_COLORABLE
+    for start in enumerate_initial_pairs(hg):
+        assert local_search(hg, *start, 2).decision == NOT_COLORABLE
 
 
-def test_local_search_rejects_mixed_background():
-    with pytest.raises(ValueError, match="background"):
-        local_search(FALLBACK_HG, FALLBACK_PAIR, 3)
+def test_local_search_rejects_bad_start():
+    hg = Hypergraph(5, 3, ((0, 1, 4),))
+    for subset in ((0, 0, 1), (0, 1, 5), (-1, 0, 1), (0, 1), (0, 1, 2, 3)):
+        with pytest.raises(ValueError, match="subset"):
+            local_search(hg, subset, 1, 3)
+    for b in (0, 4):
+        with pytest.raises(ValueError, match="background"):
+            local_search(hg, (0, 1, 2), b, 3)
+    with pytest.raises(ValueError, match="radius"):
+        local_search(hg, (0, 1, 2), 1, -1)
 
 
 def test_node_count_bound_on_branchy_instance():
     hg = BRANCHY_UNSAT
     g = search_radius(hg.n, hg.r)
     bound = sum((hg.r - 1) ** i for i in range(g + 1))
-    for pair in enumerate_initial_pairs(hg):
-        out = local_search(hg, pair, g)
+    for start in enumerate_initial_pairs(hg):
+        out = local_search(hg, *start, g)
         assert out.stats.recursion_nodes <= bound
 
 
 def test_trace_invariants():
     hg = BRANCHY_UNSAT
     g = search_radius(hg.n, hg.r)
-    for pair in list(enumerate_initial_pairs(hg))[:12]:
-        initial = list(pair.coloring)
+    for subset, b in list(enumerate_initial_pairs(hg))[:12]:
+        initial = [b] * hg.n
+        for color, v in enumerate(subset, start=1):
+            initial[v] = color
         seen = []
 
         def watch(depth, coloring, frozen):
             seen.append(depth)
             assert depth <= g
             assert hamming(initial, coloring.tolist()) == depth
-            assert frozen.sum() == len(pair.frozen) + depth
-            assert frozen[sorted(pair.frozen)].all()
-            assert all(coloring[v] == initial[v] for v in pair.frozen)
+            assert frozen.sum() == len(subset) + depth
+            assert frozen[list(subset)].all()
+            assert all(coloring[v] == initial[v] for v in subset)
 
-        local_search(hg, pair, g, trace=watch)
+        local_search(hg, subset, b, g, trace=watch)
         assert seen[0] == 0
 
 
@@ -131,9 +138,9 @@ def test_unsat_standard_nodes_have_r_minus_1_children():
     # exactly r-1 children in the preorder trace
     hg = BRANCHY_UNSAT
     g = search_radius(hg.n, hg.r)
-    for pair in list(enumerate_initial_pairs(hg))[:8]:
+    for start in list(enumerate_initial_pairs(hg))[:8]:
         trace = []
-        local_search(hg, pair, g, trace=lambda d, c, f: trace.append(d))
+        local_search(hg, *start, g, trace=lambda d, c, f: trace.append(d))
         children = [0] * len(trace)
         stack = []
         for i, depth in enumerate(trace):
@@ -150,6 +157,12 @@ def test_det_nrc_degenerate_inputs():
     out = det_nrc(Hypergraph(5, 3))
     assert out.decision == COLORABLE
     assert is_no_rainbow_coloring(Hypergraph(5, 3), out.certificate)
+
+
+def test_det_nrc_rejects_negative_radius():
+    for hg in (Hypergraph(2, 3), Hypergraph(5, 3)):
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            det_nrc(hg, radius=-1)
 
 
 def test_det_nrc_complete_five():

@@ -11,12 +11,9 @@ import numpy as np
 from norainbow import (
     Hypergraph,
     ParseError,
-    background_completion,
     branch_node,
-    completion_safe,
     edge_state,
     first_rainbow_edge,
-    has_fully_frozen_rainbow,
     is_no_rainbow_coloring,
     is_rainbow_edge,
     parse_instance,
@@ -195,7 +192,7 @@ def test_hamming_is_a_metric(triple):
     assert hamming(a, c) <= hamming(a, b) + hamming(b, c)
 
 
-# --- candidate pairs and completion ----------------------------------------
+# --- candidate pairs --------------------------------------------------------
 
 
 def test_validate_candidate_pair():
@@ -207,69 +204,6 @@ def test_validate_candidate_pair():
         validate_candidate_pair(hg, [1, 2, 3], {0, 1, 2})
     with pytest.raises(ValueError, match="color"):
         validate_candidate_pair(hg, [1, 2, 5, 1], {0, 1, 2})
-
-
-def test_has_fully_frozen_rainbow():
-    hg = Hypergraph(3, 3, ((0, 1, 2),))
-    assert has_fully_frozen_rainbow(hg, [1, 2, 3], {0, 1, 2})
-    assert not has_fully_frozen_rainbow(hg, [1, 2, 3], {0, 1})
-    # frozen but not rainbow
-    hg4 = Hypergraph(4, 3, ((0, 1, 2),))
-    assert not has_fully_frozen_rainbow(hg4, [1, 1, 3, 2], {0, 1, 2, 3})
-
-
-def test_completion_safe():
-    assert completion_safe(Hypergraph(4, 3, ((0, 1, 2),)), set())
-    assert not completion_safe(Hypergraph(4, 3, ((0, 1, 2),)), {0, 1})
-    assert completion_safe(Hypergraph(4, 3, ((0, 1, 2),)), {0, 1, 2, 3})
-
-
-def test_background_completion_all_frozen_returns_coloring():
-    hg = Hypergraph(5, 3, ((0, 1, 2),))
-    coloring = [1, 2, 2, 3, 2]
-    out = background_completion(hg, coloring, {0, 1, 2, 3, 4})
-    assert out == coloring
-
-
-def test_background_completion_zero_edges():
-    hg = Hypergraph(5, 3)
-    assert background_completion(hg, [1, 2, 3, 1, 1], {0, 1, 2}) == [1, 2, 3, 1, 1]
-
-
-def test_background_completion_fills_with_one():
-    hg = Hypergraph(6, 3, ((0, 2, 3), (2, 3, 4)))
-    # frozen {0,1,5} meets the edges in 1 and 0 nodes, never r-1
-    out = background_completion(hg, [1, 2, 2, 3, 3, 3], {0, 1, 5})
-    assert out == [1, 2, 1, 1, 1, 3]
-    assert is_no_rainbow_coloring(hg, out)
-
-
-def test_background_completion_precondition_violation():
-    hg = Hypergraph(6, 3, ((0, 1, 5), (3, 4, 5)))
-    # edge {0,1,5} has exactly 2 = r-1 frozen members
-    with pytest.raises(ValueError, match="r-1 frozen"):
-        background_completion(hg, [1, 2, 3, 2, 2, 2], {0, 1, 2})
-
-
-def test_background_completion_rejects_frozen_rainbow():
-    hg = Hypergraph(4, 3, ((0, 1, 2),))
-    with pytest.raises(ValueError, match="fully frozen rainbow"):
-        background_completion(hg, [1, 2, 3, 1], {0, 1, 2, 3})
-
-
-@settings(max_examples=60)
-@given(hypergraphs(), st.randoms(use_true_random=False))
-def test_background_completion_output_always_verifies(hg, rng):
-    # build a random candidate pair, then check the guarded completion
-    nodes = list(range(hg.n))
-    rng.shuffle(nodes)
-    frozen = set(nodes[: hg.r])
-    coloring = [rng.randint(1, hg.r) for _ in range(hg.n)]
-    for color, v in enumerate(sorted(frozen), start=1):
-        coloring[v] = color
-    if has_fully_frozen_rainbow(hg, coloring, frozen) or not completion_safe(hg, frozen):
-        return
-    assert is_no_rainbow_coloring(hg, background_completion(hg, coloring, frozen))
 
 
 # --- branch selection -------------------------------------------------------

@@ -77,6 +77,13 @@ def test_budget_env_var(monkeypatch):
     assert resolve_budget() == 10**8
 
 
+def test_budget_env_var_must_be_an_integer(monkeypatch):
+    monkeypatch.setenv(BUDGET_ENV_VAR, "abc")
+    with pytest.raises(ValueError, match="^NRC_ORACLE_BUDGET must be an integer, got 'abc'$"):
+        resolve_budget()
+    assert resolve_budget(7) == 7  # an explicit budget never reads the variable
+
+
 def test_matches_naive_enumeration():
     for hg in random_instances(7, 40, 6):
         report = oracle_decide(hg)

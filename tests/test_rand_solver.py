@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from norainbow import (
@@ -9,6 +12,7 @@ from norainbow import (
     NOT_COLORABLE,
     Hypergraph,
     derive_rng,
+    first_rainbow_edge,
     is_no_rainbow_coloring,
     rand_local_search,
     rand_nrc,
@@ -17,7 +21,8 @@ from norainbow import (
 from norainbow.instances import gen_complete, gen_planted
 from norainbow.oracle import oracle_verify_certificate
 
-from test_det_solver import FALLBACK_HG, FALLBACK_PAIR
+from reference import completion_exit
+from test_det_solver import FALLBACK_COLORING, FALLBACK_FROZEN, FALLBACK_HG
 
 
 def test_trial_count_values():
@@ -68,16 +73,52 @@ def test_walk_requires_r_frozen_nodes():
 def test_walk_fallback_state():
     hits = 0
     for seed in range(200):
-        out = rand_local_search(
-            FALLBACK_HG,
-            list(FALLBACK_PAIR.coloring),
-            set(FALLBACK_PAIR.frozen),
-            derive_rng(seed, 0, 0),
-        )
+        out = rand_local_search(FALLBACK_HG, FALLBACK_COLORING, FALLBACK_FROZEN, derive_rng(seed, 0, 0))
         if out.colorable:
             hits += 1
             assert is_no_rainbow_coloring(FALLBACK_HG, out.certificate)
     assert hits > 0
+
+
+def test_walk_completion_exit_fills_with_one():
+    hg = Hypergraph(6, 3, ((0, 2, 3), (2, 3, 4)))
+    # frozen {0,1,5} meets the edges in 1 and 0 nodes, never r-1, and the
+    # first edge is rainbow
+    out = rand_local_search(hg, [1, 2, 2, 3, 3, 3], {0, 1, 5}, derive_rng(0, 0, 0))
+    assert out.certificate == [1, 2, 1, 1, 1, 3]
+    assert out.stats.recursion_nodes == 1
+
+
+@st.composite
+def walk_starts(draw):
+    """A start (hg, coloring, frozen) for rand_local_search; half the time
+    no edge has exactly r-1 frozen nodes, so the completion exit is common."""
+    r = draw(st.integers(2, 4))
+    n = draw(st.integers(r + 1, 9))
+    frozen = set(draw(st.permutations(range(n)))[:r])
+    pool = list(itertools.combinations(range(n), r))
+    if draw(st.booleans()):
+        pool = [e for e in pool if len(frozen.intersection(e)) < r - 1]
+    edges = draw(st.lists(st.sampled_from(pool), max_size=12)) if pool else []
+    coloring = draw(st.lists(st.integers(1, r), min_size=n, max_size=n))
+    for color, v in enumerate(sorted(frozen), start=1):
+        coloring[v] = color
+    return Hypergraph(n, r, tuple(edges)), coloring, frozen
+
+
+@settings(max_examples=60)
+@given(walk_starts())
+def test_walk_completion_exit_matches_reference(start):
+    # when the first step is the completion exit, the walk must return the
+    # reference fill after that one step
+    hg, coloring, frozen = start
+    expected = completion_exit(hg, coloring, frozen)
+    out = rand_local_search(hg, coloring, frozen, derive_rng(0, 0, 0))
+    if expected is not None:
+        assert (out.certificate, out.stats.recursion_nodes) == (expected, 1)
+        assert is_no_rainbow_coloring(hg, out.certificate)
+    elif first_rainbow_edge(hg, coloring) is not None and out.stats.recursion_nodes == 1:
+        assert not out.colorable
 
 
 def test_walk_recolor_draws_are_uniform():
@@ -109,6 +150,14 @@ def test_rand_nrc_zero_edges():
     out = rand_nrc(hg, alpha=2.0, master_seed=0)
     assert out.decision == COLORABLE
     assert is_no_rainbow_coloring(hg, out.certificate)
+
+
+def test_rand_nrc_rejects_alpha_at_most_one():
+    # including the inputs answered without any trial
+    for hg in (Hypergraph(4, 3), Hypergraph(2, 3), gen_complete(4, 3)):
+        for alpha in (0.5, 1.0):
+            with pytest.raises(ValueError, match="alpha must be > 1"):
+                rand_nrc(hg, alpha=alpha)
 
 
 def test_rand_nrc_small_n():

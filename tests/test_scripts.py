@@ -1,0 +1,24 @@
+"""Smoke tests: each experiment script under scripts/ runs to completion on a
+tiny input, so a renamed or removed package function breaks the suite."""
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("scaling_bench.py", ["--r", "3", "--n-min", "5", "--n-max", "6", "--per-n", "2", "-o", "scaling.csv"]),
+        ("success_rate.py", ["--n", "6", "--m", "4", "--instances", "2", "--alphas", "1.1"]),
+    ],
+)
+def test_script_runs(tmp_path, script, args):
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), *args], cwd=tmp_path, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout
