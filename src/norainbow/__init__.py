@@ -10,8 +10,6 @@ from .hypergraph import (
     ParseError,
     SearchOutcome,
     SearchStats,
-    branch_node,
-    edge_state,
     first_rainbow_edge,
     format_certificate,
     is_no_rainbow_coloring,

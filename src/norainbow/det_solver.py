@@ -22,8 +22,7 @@ from .hypergraph import (
     Hypergraph,
     SearchOutcome,
     SearchStats,
-    branch_node,
-    edge_state,
+    edge_bits,
     is_no_rainbow_coloring,
 )
 from .parallel import search_ranges
@@ -65,15 +64,15 @@ def local_search(
     nodes frozen on the colors 1..r in ascending node order, every other
     node unfrozen on the background color b.
 
-    Each search node is evaluated afresh from the per-edge rainbow flags and
-    frozen counts of edge_state. Case order per node: no rainbow edge ->
-    certify the current coloring; out of budget, or a fully frozen rainbow
-    edge -> fail; otherwise recolor the unfrozen node of the lowest rainbow
-    edge with r-1 frozen nodes to each of the other r-1 colors, freeze it,
-    and recurse with one less budget. Every recolored node is frozen at
-    once, so unfrozen nodes keep the background color and a rainbow edge
-    has at most one unfrozen node; once no rainbow edge is fully frozen,
-    each has exactly one, and the tree is (r-1)-ary. trace, when given, is
+    Each search node is evaluated afresh from the edge bit sets of
+    edge_bits. Case order per node: no rainbow edge -> certify the current
+    coloring; out of budget, or a fully frozen rainbow edge -> fail;
+    otherwise recolor the unfrozen node of the lowest-index rainbow edge to
+    each of the other r-1 colors, freeze it, and recurse with one less
+    budget. Every recolored node is frozen at once, so unfrozen nodes keep
+    the background color and a rainbow edge has at most one unfrozen node;
+    once no rainbow edge is fully frozen, each has exactly one, and the
+    tree is (r-1)-ary. trace, when given, is
     called as trace(depth, coloring, frozen) at every node with the live
     color array and frozen mask. Raises ValueError unless radius >= 0, the
     subset is r distinct nodes of 0..n-1 and b is in 1..r.
@@ -113,14 +112,13 @@ def _search(
     stats.recursion_nodes += 1
     if trace is not None:
         trace(depth, coloring, frozen)
-    rainbow, frozen_count = edge_state(hg, coloring, frozen)
-    if not rainbow.any():
+    rainbow, free, _ = edge_bits(hg, coloring, frozen)
+    if not rainbow:
         return coloring.tolist()
-    if budget == 0 or (frozen_count[rainbow] == hg.r).any():
+    if budget == 0 or rainbow & ~free:
         return None
-    v = branch_node(hg, frozen, rainbow, frozen_count)
-    # free this node's per-edge arrays before the subtree below it runs
-    del rainbow, frozen_count
+    edge = hg.edges[(rainbow & -rainbow).bit_length() - 1]
+    v = next(u for u in edge if not frozen[u])
     old = int(coloring[v])
     frozen[v] = True
     for color in range(1, hg.r + 1):

@@ -7,6 +7,7 @@ it is an intp array beside a boolean mask of the frozen nodes.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -57,9 +58,13 @@ class Hypergraph:
         return frozenset(self.edges)
 
     @functools.cached_property
-    def edge_array(self) -> np.ndarray:
-        """The edges as an (m, r) intp array, one row per edge."""
-        return np.array(self.edges, dtype=np.intp).reshape(self.m, self.r)
+    def incidence(self) -> tuple[int, ...]:
+        """Per node, the bit set of the edges that contain it: bit i is edge i."""
+        inc = [0] * self.n
+        for i, e in enumerate(self.edges):
+            for v in e:
+                inc[v] |= 1 << i
+        return tuple(inc)
 
 
 @dataclass
@@ -228,31 +233,20 @@ def validate_candidate_pair(hg: Hypergraph, coloring: list[int], frozen: Iterabl
 # per-node search evaluation
 
 
-def edge_state(hg: Hypergraph, coloring: np.ndarray, frozen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per edge, whether it is rainbow under coloring (an intp array of
-    colors 1..r) and how many of its nodes the boolean mask frozen holds.
+def edge_bits(hg: Hypergraph, coloring: np.ndarray, frozen: np.ndarray) -> tuple[int, int, int]:
+    """Evaluate a search node on edge bit sets, bit i standing for edge i.
 
-    Both solvers evaluate every search node afresh from these two arrays.
-    An edge is rainbow when the OR of 1 << color over its nodes sets all r
-    color bits.
+    coloring is an intp array of colors 1..r and frozen a boolean mask.
+    Returns (rainbow, free, free2): the rainbow edges, the edges with at
+    least one unfrozen node, and the edges with at least two. An edge has
+    r nodes, so it is rainbow exactly when every color class touches it.
+    Both solvers evaluate every search node afresh from these three sets.
     """
-    # int64 masks hold colors up to 62; past that the bits are Python ints
-    one = np.int64(1) if hg.r < 63 else np.array(1, dtype=object)
-    bits = (one << coloring)[hg.edge_array]
-    seen = bits[:, 0].copy()
-    for j in range(1, hg.r):
-        seen |= bits[:, j]
-    rainbow = seen == (1 << (hg.r + 1)) - 2
-    return rainbow, np.count_nonzero(frozen[hg.edge_array], axis=1)
-
-
-def branch_node(
-    hg: Hypergraph, frozen: np.ndarray, rainbow: np.ndarray, frozen_count: np.ndarray
-) -> Optional[int]:
-    """The unfrozen node of the lowest-index rainbow edge with exactly r-1
-    frozen nodes; None when no rainbow edge has exactly one unfrozen node."""
-    hits = np.flatnonzero(rainbow & (frozen_count == hg.r - 1))
-    if hits.size == 0:
-        return None
-    edge = hg.edge_array[hits[0]]
-    return int(edge[~frozen[edge]][0])
+    touched = [0] * (hg.r + 1)
+    free = free2 = 0
+    for inc, color, is_frozen in zip(hg.incidence, coloring.tolist(), frozen.tolist()):
+        touched[color] |= inc
+        if not is_frozen:
+            free2 |= free & inc
+            free |= inc
+    return functools.reduce(operator.and_, touched[1:]), free, free2

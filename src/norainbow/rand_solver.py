@@ -24,8 +24,7 @@ from .hypergraph import (
     Hypergraph,
     SearchOutcome,
     SearchStats,
-    branch_node,
-    edge_state,
+    edge_bits,
     is_no_rainbow_coloring,
     validate_candidate_pair,
 )
@@ -64,15 +63,15 @@ def rand_local_search(
 ) -> SearchOutcome:
     """One random repair walk from a candidate pair with |frozen| = r.
 
-    Each of at most n - r iterations is evaluated afresh from the per-edge
-    rainbow flags and frozen counts of edge_state, as in the det search: no
-    rainbow edge certifies the coloring; a fully frozen rainbow edge fails
-    the walk; no edge with exactly r-1 frozen nodes certifies the frozen
-    colors with every unfrozen node set to 1; otherwise the unfrozen node of
-    the lowest rainbow edge with r-1 frozen nodes (or, when no rainbow edge
-    has one, a uniformly random unfrozen node of the lowest-index rainbow
-    edge with the most frozen nodes) is recolored to a uniformly random
-    other color and frozen.
+    Each of at most n - r iterations is evaluated afresh from the edge bit
+    sets of edge_bits, as in the det search: no rainbow edge certifies the
+    coloring; a fully frozen rainbow edge fails the walk; no edge with
+    exactly r-1 frozen nodes certifies the frozen colors with every
+    unfrozen node set to 1; otherwise the unfrozen node of the lowest
+    rainbow edge with r-1 frozen nodes (or, when no rainbow edge has one, a
+    uniformly random unfrozen node of the lowest-index rainbow edge with the
+    most frozen nodes) is recolored to a uniformly random other color and
+    frozen.
     trace, when given, records (node, old, new) per recoloring.
     """
     frozen_nodes = set(frozen)
@@ -87,19 +86,23 @@ def rand_local_search(
     certificate = None
     for _ in range(hg.n - hg.r):
         stats.recursion_nodes += 1
-        rainbow, frozen_count = edge_state(hg, colors, frozen)
-        if not rainbow.any():
+        rainbow, free, free2 = edge_bits(hg, colors, frozen)
+        if not rainbow:
             certificate = colors.tolist()
             break
-        if (frozen_count[rainbow] == hg.r).any():
+        if rainbow & ~free:
             break
-        if not (frozen_count == hg.r - 1).any():
+        if not free & ~free2:
             # no edge has r-1 frozen nodes: an edge with a free node has two, now both 1
             certificate = np.where(frozen, colors, 1).tolist()
             break
-        v = branch_node(hg, frozen, rainbow, frozen_count)
-        if v is None:
-            edge = hg.edges[int(np.argmax(np.where(rainbow, frozen_count, -1)))]
+        branch = rainbow & ~free2
+        if branch:
+            edge = hg.edges[(branch & -branch).bit_length() - 1]
+            v = next(u for u in edge if not frozen[u])
+        else:
+            rainbow_edges = [hg.edges[i] for i, bit in enumerate(bin(rainbow)[:1:-1]) if bit == "1"]
+            edge = max(rainbow_edges, key=lambda e: sum(frozen[u] for u in e))
             unfrozen = [u for u in edge if not frozen[u]]
             v = unfrozen[int(rng.integers(len(unfrozen)))]
         old = int(colors[v])

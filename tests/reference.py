@@ -45,3 +45,15 @@ def completion_exit(hg: Hypergraph, coloring: list[int], frozen: set[int]) -> Op
     if any(sum(v in frozen for v in e) == hg.r - 1 for e in hg.edges):
         return None
     return [coloring[v] if v in frozen else 1 for v in range(hg.n)]
+
+
+def fallback_edge(hg: Hypergraph, coloring: list[int], frozen: set[int]) -> Optional[int]:
+    """Lowest-index rainbow edge with the most frozen nodes: the edge a
+    random walk draws its node from when no rainbow edge has exactly r-1
+    frozen nodes. None when no edge is rainbow."""
+    best, most = None, -1
+    for ei, e in enumerate(hg.edges):
+        count = sum(v in frozen for v in e)
+        if count > most and is_rainbow_edge(hg, coloring, ei):
+            best, most = ei, count
+    return best

@@ -11,15 +11,13 @@ import numpy as np
 from norainbow import (
     Hypergraph,
     ParseError,
-    branch_node,
-    edge_state,
     first_rainbow_edge,
     is_no_rainbow_coloring,
     is_rainbow_edge,
     parse_instance,
     write_instance,
 )
-from norainbow.hypergraph import validate_candidate_pair
+from norainbow.hypergraph import edge_bits, validate_candidate_pair
 from norainbow.instances import gen_complete, gen_random
 
 from reference import hamming, select_branch_edge
@@ -232,10 +230,14 @@ def test_select_branch_edge_lowest_index():
 # --- per-node evaluation ----------------------------------------------------
 
 
-def _naive_counters(hg, coloring, frozen):
-    rainbow = [len({coloring[v] for v in e}) == hg.r for e in hg.edges]
-    fcount = [sum(1 for v in e if v in frozen) for e in hg.edges]
-    return rainbow, fcount
+def _naive_bits(hg, coloring, frozen):
+    rainbow = free = free2 = 0
+    for i, e in enumerate(hg.edges):
+        unfrozen = sum(v not in frozen for v in e)
+        rainbow |= (len({coloring[v] for v in e}) == hg.r) << i
+        free |= (unfrozen >= 1) << i
+        free2 |= (unfrozen >= 2) << i
+    return rainbow, free, free2
 
 
 def _arrays(hg, coloring, frozen):
@@ -246,23 +248,24 @@ def _arrays(hg, coloring, frozen):
 
 @settings(max_examples=200)
 @given(colored_hypergraphs(max_r=5), st.randoms(use_true_random=False))
-def test_edge_state_matches_naive_recount(pair, rng):
+def test_edge_bits_match_naive_recount(pair, rng):
     hg, coloring = pair
     frozen = set(rng.sample(range(hg.n), rng.randint(0, hg.n)))
-    rainbow, fcount = edge_state(hg, *_arrays(hg, coloring, frozen))
-    assert (rainbow.tolist(), fcount.tolist()) == _naive_counters(hg, coloring, frozen)
+    assert edge_bits(hg, *_arrays(hg, coloring, frozen)) == _naive_bits(hg, coloring, frozen)
 
 
-def test_edge_state_beyond_int64_color_bits():
-    # 70 colors overflow an int64 bit mask; the rainbow flag must not
+def test_edge_bits_beyond_int64_color_bits():
+    # 70 colors would overflow an int64 bit mask over the colors
     hg = Hypergraph(71, 70, (tuple(range(70)), tuple(range(1, 71))))
     coloring = list(range(1, 71)) + [1]
     frozen = set(range(0, 71, 2))
-    rainbow, fcount = edge_state(hg, *_arrays(hg, coloring, frozen))
-    assert (rainbow.tolist(), fcount.tolist()) == _naive_counters(hg, coloring, frozen)
+    got = edge_bits(hg, *_arrays(hg, coloring, frozen))
+    assert got == _naive_bits(hg, coloring, frozen) == (0b11, 0b11, 0b11)
 
 
-def test_branch_node_matches_pure_function():
+def test_lowest_branch_bit_matches_pure_function():
+    # the unfrozen node of the lowest rainbow edge with exactly one unfrozen
+    # node is the branch node both solvers take
     rng = random.Random(5)
     for _ in range(200):
         r = rng.choice([3, 4])
@@ -270,7 +273,11 @@ def test_branch_node_matches_pure_function():
         hg = gen_random(n, rng.randint(0, min(8, math.comb(n, r))), r, rng.randrange(10**6))
         coloring = [rng.randint(1, r) for _ in range(n)]
         frozen = set(rng.sample(range(n), rng.randint(0, n)))
-        colors, mask = _arrays(hg, coloring, frozen)
+        rainbow, free, free2 = edge_bits(hg, *_arrays(hg, coloring, frozen))
+        branch = rainbow & free & ~free2
+        got = None
+        if branch:
+            edge = hg.edges[(branch & -branch).bit_length() - 1]
+            got = next(v for v in edge if v not in frozen)
         expected = select_branch_edge(hg, coloring, frozen)
-        got = branch_node(hg, mask, *edge_state(hg, colors, mask))
         assert got == (None if expected is None else expected[1])

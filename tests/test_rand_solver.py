@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from norainbow import (
 from norainbow.instances import gen_complete, gen_planted
 from norainbow.oracle import oracle_verify_certificate
 
-from reference import completion_exit
+from reference import completion_exit, fallback_edge, has_fully_frozen_rainbow, select_branch_edge
 from test_det_solver import FALLBACK_COLORING, FALLBACK_FROZEN, FALLBACK_HG
 
 
@@ -87,6 +88,56 @@ def test_walk_completion_exit_fills_with_one():
     out = rand_local_search(hg, [1, 2, 2, 3, 3, 3], {0, 1, 5}, derive_rng(0, 0, 0))
     assert out.certificate == [1, 2, 1, 1, 1, 3]
     assert out.stats.recursion_nodes == 1
+
+
+class _PickRng:
+    """Stand-in for a Generator: the first draw returns index, later ones 0."""
+
+    def __init__(self, index):
+        self.index = index
+        self.draws = []
+
+    def integers(self, k):
+        self.draws.append(k)
+        return self.index if len(self.draws) == 1 else 0
+
+
+def _gap_states(count, seed):
+    """Random walk starts whose first step is the fallback: some edge is
+    rainbow, every rainbow edge has at least two unfrozen nodes, and some
+    edge has r-1 frozen nodes, so the completion exit does not apply."""
+    rng = random.Random(seed)
+    while count:
+        r = rng.randint(3, 5)
+        n = rng.randint(r + 2, 10)
+        frozen = set(rng.sample(range(n), r))
+        coloring = [rng.randint(1, r) for _ in range(n)]
+        for color, v in enumerate(sorted(frozen), start=1):
+            coloring[v] = color
+        pool = list(itertools.combinations(range(n), r))
+        hg = Hypergraph(n, r, tuple(rng.sample(pool, min(len(pool), rng.randint(1, 12)))))
+        if (
+            first_rainbow_edge(hg, coloring) is not None
+            and not has_fully_frozen_rainbow(hg, coloring, frozen)
+            and select_branch_edge(hg, coloring, frozen) is None
+            and completion_exit(hg, coloring, frozen) is None
+        ):
+            count -= 1
+            yield hg, coloring, frozen
+
+
+def test_walk_fallback_draws_from_reference_edge():
+    # the i-th draw over the fallback edge's unfrozen nodes picks the i-th one
+    not_lowest = 0
+    for hg, coloring, frozen in _gap_states(300, seed=8):
+        ei = fallback_edge(hg, coloring, frozen)
+        not_lowest += ei != first_rainbow_edge(hg, coloring)
+        unfrozen = [v for v in hg.edges[ei] if v not in frozen]
+        for i, v in enumerate(unfrozen):
+            rng, trace = _PickRng(i), []
+            rand_local_search(hg, coloring, frozen, rng, trace=trace)
+            assert (rng.draws[0], trace[0][0]) == (len(unfrozen), v)
+    assert not_lowest > 0
 
 
 @st.composite
