@@ -63,15 +63,15 @@ def rand_local_search(
 ) -> SearchOutcome:
     """One random repair walk from a candidate pair with |frozen| = r.
 
-    Each of at most n - r iterations is evaluated afresh from the edge bit
-    sets of edge_bits, as in the det search: no rainbow edge certifies the
-    coloring; a fully frozen rainbow edge fails the walk; no edge with
-    exactly r-1 frozen nodes certifies the frozen colors with every
-    unfrozen node set to 1; otherwise the unfrozen node of the lowest
-    rainbow edge with r-1 frozen nodes (or, when no rainbow edge has one, a
-    uniformly random unfrozen node of the lowest-index rainbow edge with the
-    most frozen nodes) is recolored to a uniformly random other color and
-    frozen.
+    The walk evaluates the start and the state after each of at most n - r
+    recolorings, each afresh from the edge bit sets of edge_bits, as in the
+    det search: no rainbow edge certifies the coloring; a fully frozen
+    rainbow edge fails the walk; no edge with exactly r-1 frozen nodes
+    certifies the frozen colors with every unfrozen node set to 1;
+    otherwise the unfrozen node of the lowest rainbow edge with r-1 frozen
+    nodes (or, when no rainbow edge has one, a uniformly random unfrozen
+    node of the lowest-index rainbow edge with the most frozen nodes) is
+    recolored to a uniformly random other color and frozen.
     trace, when given, records (node, old, new) per recoloring.
     """
     frozen_nodes = set(frozen)
@@ -84,7 +84,8 @@ def rand_local_search(
     frozen = np.zeros(hg.n, dtype=bool)
     frozen[list(frozen_nodes)] = True
     certificate = None
-    for _ in range(hg.n - hg.r):
+    # the last of n - r + 1 evaluations sees every node frozen, so it certifies or fails
+    for _ in range(hg.n - hg.r + 1):
         stats.recursion_nodes += 1
         rainbow, free, free2 = edge_bits(hg, colors, frozen)
         if not rainbow:

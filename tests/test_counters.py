@@ -30,11 +30,11 @@ DET = {
 
 # (instance, master_seed) at alpha 1.5 -> as above
 RAND = {
-    ("branchy", 0): (NOT_COLORABLE, None, 334, 360),
-    ("branchy", 1): (NOT_COLORABLE, None, 347, 360),
-    ("branchy", 2): (NOT_COLORABLE, None, 348, 360),
+    ("branchy", 0): (NOT_COLORABLE, None, 343, 360),
+    ("branchy", 1): (NOT_COLORABLE, None, 361, 360),
+    ("branchy", 2): (NOT_COLORABLE, None, 361, 360),
     ("planted", 0): (COLORABLE, "12221322", 9, 4),
-    ("planted", 1): (COLORABLE, "11212231", 43, 19),
+    ("planted", 1): (COLORABLE, "11212231", 44, 19),
     ("planted", 2): (COLORABLE, "12132232", 5, 2),
     ("complete73", 0): (NOT_COLORABLE, None, 0, 910),
     ("complete73", 1): (NOT_COLORABLE, None, 0, 910),

@@ -65,6 +65,20 @@ def test_walk_immediate_success_without_edges():
     assert out.certificate == [1, 2, 3, 1, 1, 2]
 
 
+def test_walk_checks_the_state_after_its_last_recoloring():
+    # one unfrozen node: either recoloring of it is a certificate
+    hg = Hypergraph(4, 3, ((0, 1, 3),))
+    for seed in range(4):
+        out = rand_local_search(hg, [1, 2, 3, 3], {0, 1, 2}, derive_rng(seed, 0, 0))
+        assert out.certificate in ([1, 2, 3, 1], [1, 2, 3, 2])
+        assert out.stats.recursion_nodes == 2
+
+
+def test_walk_without_unfrozen_nodes_checks_its_start():
+    out = rand_local_search(Hypergraph(3, 3), [1, 2, 3], {0, 1, 2}, derive_rng(0, 0, 0))
+    assert (out.certificate, out.stats.recursion_nodes) == ([1, 2, 3], 1)
+
+
 def test_walk_requires_r_frozen_nodes():
     hg = Hypergraph(5, 3)
     with pytest.raises(ValueError, match="frozen"):
@@ -262,7 +276,8 @@ def test_walk_iteration_bound_and_monotone_freezing():
         coloring = [1, 2, 3] + [int(rng.integers(1, 4)) for _ in range(6)]
         trace = []
         out = rand_local_search(hg, coloring, {0, 1, 2}, rng, trace=trace)
-        assert out.stats.recursion_nodes <= hg.n - hg.r
+        assert len(trace) <= hg.n - hg.r
+        assert out.stats.recursion_nodes <= hg.n - hg.r + 1
         recolored = [v for v, _, _ in trace]
         assert len(recolored) == len(set(recolored))  # frozen nodes never change again
         assert not {0, 1, 2} & set(recolored)
