@@ -72,10 +72,10 @@ def local_search(
     budget. Every recolored node is frozen at once, so unfrozen nodes keep
     the background color and a rainbow edge has at most one unfrozen node;
     once no rainbow edge is fully frozen, each has exactly one, and the
-    tree is (r-1)-ary. trace, when given, is
-    called as trace(depth, coloring, frozen) at every node with the live
-    color array and frozen mask. Raises ValueError unless radius >= 0, the
-    subset is r distinct nodes of 0..n-1 and b is in 1..r.
+    tree is (r-1)-ary. trace, when given, is called as trace(depth,
+    coloring, frozen) at every node with the live color array and frozen
+    mask. Raises ValueError unless radius >= 0, the subset is r distinct
+    nodes of 0..n-1 and b is in 1..r.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")

@@ -46,7 +46,7 @@ RAND = {
 
 # rand_nrc(FALLBACK_HG, alpha=1.5, master_seed=i, one_subset_per_trial=True):
 # the random subsets reach both the fallback step and, for seeds 3 and 12,
-# the background-completion exit
+# the walk's completion exit
 ONE_SUBSET = [
     (COLORABLE, "112233", 3, 2),
     (COLORABLE, "123321", 2, 1),
