@@ -5,12 +5,16 @@ one background color b on every other node; the search recolors one
 unfrozen node of a nearly-frozen rainbow edge per level, freezing it, until
 it either proves the start hopeless or can exhibit a certificate. The
 radius bound keeps each start's tree at most (r-1)-ary of bounded depth.
+
+det_nrc first tests every start's root alone, counting only a root that
+certifies, and searches every start at the full radius if none does.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
+import operator
 import time
 from typing import Callable, Iterator, Optional
 
@@ -134,11 +138,13 @@ def _search(
 
 
 def det_nrc(hg: Hypergraph, radius: Optional[int] = None, workers: int = 1) -> SearchOutcome:
-    """Decide no-rainbow r-colorability by trying every (subset, b) start
-    at the full search radius; stops at the first certified success.
+    """Decide no-rainbow r-colorability in two passes over the (subset, b)
+    starts, stopping at the first certified success: every start's root
+    alone (in-process, counted as one node and one trial if it certifies),
+    then every start at the search radius, by default the full one.
 
     n < r admits no surjective coloring, so the answer is immediate. With
-    workers > 1 the starts are searched in parallel chunks; the decision is
+    workers > 1 the second pass runs in parallel chunks; the decision is
     unchanged but stats may differ from a sequential run.
     """
     if workers < 1:
@@ -149,14 +155,33 @@ def det_nrc(hg: Hypergraph, radius: Optional[int] = None, workers: int = 1) -> S
     stats = SearchStats()
     certificate = None
     if hg.n >= hg.r:
-        if radius is None:
-            radius = search_radius(hg.n, hg.r)
-        range_fn = functools.partial(_det_range, radius=radius)
-        certificate = search_ranges(hg, range_fn, initial_pair_count(hg.n, hg.r), workers, stats)
+        certificate = _root_certificate(hg, stats)
+        if certificate is None:
+            if radius is None:
+                radius = search_radius(hg.n, hg.r)
+            range_fn = functools.partial(_det_range, radius=radius)
+            certificate = search_ranges(hg, range_fn, initial_pair_count(hg.n, hg.r), workers, stats)
     stats.elapsed = time.perf_counter() - t0
     if certificate is None:
         return SearchOutcome(NOT_COLORABLE, None, stats)
     return SearchOutcome(COLORABLE, certificate, stats)
+
+
+def _root_certificate(hg: Hypergraph, stats: SearchStats) -> Optional[list[int]]:
+    """The first start's root coloring with no rainbow edge, counted in stats
+    as local_search counts it, or None. Only the subset's r-1 nodes not
+    colored b differ from b, so a rainbow edge must contain all of them."""
+    inc = hg.incidence
+    for subset, b in enumerate_initial_pairs(hg):
+        if not functools.reduce(operator.and_, [inc[v] for c, v in enumerate(subset, 1) if c != b]):
+            coloring = [b] * hg.n
+            for color, v in enumerate(subset, 1):
+                coloring[v] = color
+            if not is_no_rainbow_coloring(hg, coloring):
+                raise RuntimeError("internal error: root sweep produced an invalid certificate")
+            stats.absorb(SearchStats(recursion_nodes=1, trials=1, max_start_nodes=1))
+            return coloring
+    return None
 
 
 def _det_range(hg: Hypergraph, lo: int, hi: int, stats: SearchStats, radius: int) -> Optional[list[int]]:

@@ -71,13 +71,12 @@ class Hypergraph:
 class SearchStats:
     """Work counters for one solver run.
 
-    recursion_nodes counts search-tree nodes for the deterministic search
-    and walk iterations for the randomized one; trials counts search starts
-    and max_start_nodes the most nodes any one start took. No solver adds
-    to fallback_nodes, which stays 0: det never takes a fallback branch,
-    and rand counts its fallback steps in recursion_nodes. The field is
-    kept because the `c stats ... fallback=` line and the perfbench
-    counters read it.
+    trials counts the starts searched: det's full-radius starts, or the one
+    root of its sweep that certifies; rand's walks and the subsets that are
+    edges. recursion_nodes counts det's search-tree nodes (1 for that root)
+    and rand's walk iterations, max_start_nodes the most of any one start.
+    fallback_nodes stays 0 (det takes no fallback branch, rand counts its
+    fallback steps as nodes); `c stats ... fallback=` and perfbench read it.
     """
 
     recursion_nodes: int = 0

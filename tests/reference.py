@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from norainbow import Hypergraph, first_rainbow_edge, is_rainbow_edge
+from norainbow import Hypergraph, enumerate_initial_pairs, first_rainbow_edge, is_rainbow_edge
 
 
 def hamming(a: list[int], b: list[int]) -> int:
@@ -57,3 +57,16 @@ def fallback_edge(hg: Hypergraph, coloring: list[int], frozen: set[int]) -> Opti
         if count > most and is_rainbow_edge(hg, coloring, ei):
             best, most = ei, count
     return best
+
+
+def first_root_certificate(hg: Hypergraph) -> Optional[list[int]]:
+    """Root coloring of the first (subset, b) start, in enumerate_initial_pairs
+    order, that has no rainbow edge: the subset's nodes on the colors 1..r,
+    every other node on b. None when no start's root certifies."""
+    for subset, b in enumerate_initial_pairs(hg):
+        coloring = [b] * hg.n
+        for color, v in enumerate(subset, start=1):
+            coloring[v] = color
+        if first_rainbow_edge(hg, coloring) is None:
+            return coloring
+    return None

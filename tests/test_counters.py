@@ -5,6 +5,11 @@ on small seeded inputs: the decision, the certificate (one digit per node),
 recursion_nodes and trials. A change that restructures or speeds up a
 search without changing what it searches must leave all of them identical;
 seeded rand runs must also keep every random draw in the same order.
+
+det_nrc first sweeps every start's root and only then searches every start
+at the full radius, so a colorable instance with a root certificate pins
+that certificate with 1 node and 1 trial (planted, fallback), while an
+uncolorable one pins the full pass alone.
 """
 import pytest
 
@@ -23,7 +28,7 @@ INSTANCES = {
 # instance -> (decision, certificate, recursion_nodes, trials)
 DET = {
     "branchy": (NOT_COLORABLE, None, 166, 60),
-    "planted": (COLORABLE, "12132212", 17, 4),
+    "planted": (COLORABLE, "12111131", 1, 1),
     "complete73": (NOT_COLORABLE, None, 105, 105),
     "fallback": (COLORABLE, "123111", 1, 1),
 }

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from norainbow import (
     COLORABLE,
     NOT_COLORABLE,
     Hypergraph,
+    SearchStats,
     det_nrc,
     enumerate_initial_pairs,
     is_no_rainbow_coloring,
@@ -19,7 +21,7 @@ from norainbow.det_solver import initial_pair_count
 from norainbow.instances import gen_complete, gen_planted, gen_random
 from norainbow.oracle import oracle_decide, oracle_verify_certificate
 
-from reference import hamming
+from reference import first_root_certificate, hamming
 from strategies import hypergraphs
 
 # gen_random(6, 12, 3, 6) is NOT_COLORABLE and forces real branching
@@ -216,6 +218,11 @@ def test_det_certificates_verify(hg):
     assert out.stats.trials <= initial_pair_count(hg.n, hg.r) if hg.n >= hg.r else True
 
 
+def _counts(outcome):
+    s = outcome.stats
+    return outcome.decision, outcome.certificate, s.recursion_nodes, s.trials, s.max_start_nodes
+
+
 def test_det_parallel_matches_sequential_decision():
     for hg in (gen_complete(5, 3), gen_planted(8, 12, 3, 7)[0], Hypergraph(6, 3)):
         seq = det_nrc(hg)
@@ -223,3 +230,76 @@ def test_det_parallel_matches_sequential_decision():
         assert seq.decision == par.decision
         if par.colorable:
             assert oracle_verify_certificate(hg, par.certificate)
+    # a root certificate comes from the in-process sweep, whatever the workers
+    hg = gen_planted(8, 12, 3, 7)[0]
+    assert first_root_certificate(hg) is not None
+    assert _counts(det_nrc(hg, workers=2)) == _counts(det_nrc(hg))
+
+
+def test_det_root_certificate_starts_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    for hg in (gen_planted(8, 12, 3, 7)[0], Hypergraph(6, 3)):
+        assert det_nrc(hg, workers=2).stats.trials == 1
+    # the patch does catch a pool: an instance without a root certificate needs one
+    with pytest.raises(AssertionError, match="process pool"):
+        det_nrc(gen_complete(5, 3), workers=2)
+
+
+def _root_sweep_corpus():
+    """400 seeded random instances, r 2-5 and n <= 10, about a tenth edgeless."""
+    rng = random.Random(2024)
+    for _ in range(400):
+        r = rng.randint(2, 5)
+        n = rng.randint(r, 10)
+        m = 0 if rng.random() < 0.1 else rng.randint(1, min(30, math.comb(n, r)))
+        yield gen_random(n, m, r, rng.randrange(10**6))
+
+
+def test_det_returns_the_first_root_certificate():
+    found = 0
+    for hg in _root_sweep_corpus():
+        expected = first_root_certificate(hg)
+        if expected is None:
+            continue
+        found += 1
+        out = det_nrc(hg)
+        assert out.certificate == expected
+        assert (out.stats.recursion_nodes, out.stats.trials) == (1, 1)
+    assert found >= 200
+
+
+def test_det_without_root_certificate_runs_the_full_pass_unchanged():
+    # with no root certificate, det_nrc is the plain pass over every start
+    # at the full radius: same decision, certificate and counters
+    missed = 0
+    for hg in _root_sweep_corpus():
+        if first_root_certificate(hg) is not None:
+            continue
+        missed += 1
+        full = SearchStats()
+        certificate = None
+        for start in enumerate_initial_pairs(hg):
+            outcome = local_search(hg, *start, search_radius(hg.n, hg.r))
+            full.absorb(outcome.stats)
+            if outcome.colorable:
+                certificate = outcome.certificate
+                break
+        decision = NOT_COLORABLE if certificate is None else COLORABLE
+        expected = decision, certificate, full.recursion_nodes, full.trials, full.max_start_nodes
+        assert _counts(det_nrc(hg)) == expected
+    assert missed >= 100
+
+
+def test_det_former_n200_hang_certifies_at_a_root():
+    # the full-radius pass alone gives no answer here in 10 minutes; start 51's root certifies
+    hg = gen_random(200, 20000, 3, 1)
+    out = det_nrc(hg)
+    assert out.decision == COLORABLE
+    assert (out.stats.recursion_nodes, out.stats.trials) == (1, 1)
+    expected = [1] * hg.n  # start (0, 1, 19) on background 1
+    expected[1], expected[19] = 2, 3
+    assert out.certificate == expected
+    assert oracle_verify_certificate(hg, out.certificate)
