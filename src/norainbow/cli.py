@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from .det_solver import det_nrc, search_radius
+from .det_solver import det_nrc
 from .hypergraph import (
     COLORABLE,
     Hypergraph,
@@ -66,23 +66,10 @@ def _write_output(text: str, out: Optional[str]) -> None:
 def _solve_with(hg: Hypergraph, args) -> tuple[str, Optional[list[int]], object]:
     """Run the chosen decider; returns (decision, certificate, stats)."""
     if args.algo == "det":
-        radius = getattr(args, "radius", None)
-        if radius is not None and hg.n >= hg.r and 0 <= radius < search_radius(hg.n, hg.r):
-            print(
-                f"c warning: radius {radius} below default "
-                f"{search_radius(hg.n, hg.r)}; completeness not guaranteed"
-            )
-        outcome = det_nrc(hg, radius=radius, workers=args.threads)
+        outcome = det_nrc(hg, workers=args.threads)
         return outcome.decision, outcome.certificate, outcome.stats
     if args.algo == "rand":
-        outcome = rand_nrc(
-            hg,
-            alpha=args.alpha,
-            master_seed=args.seed,
-            cap=args.trial_cap,
-            workers=args.threads,
-            one_subset_per_trial=args.one_subset_per_trial,
-        )
+        outcome = rand_nrc(hg, alpha=args.alpha, master_seed=args.seed, cap=args.trial_cap, workers=args.threads)
         return outcome.decision, outcome.certificate, outcome.stats
     report = oracle_decide(hg, budget=args.budget)
     return report.decision, report.sample_witness, None
@@ -198,6 +185,8 @@ def expand_corpus_token(token: str) -> list[tuple[str, Hypergraph]]:
         if ".." in fields["n"]:
             lo, hi = fields["n"].split("..", 1)
             n_values = range(int(lo), int(hi) + 1)
+            if not n_values:
+                raise ValueError(f"empty n range {fields['n']!r} in {token!r}")
         else:
             n_values = [int(fields["n"])]
         out = []
@@ -260,6 +249,8 @@ def cmd_bench(args) -> int:
     for algo in algos:
         if algo not in {"det", "rand", "oracle"}:
             raise ValueError(f"unknown algo {algo!r}; choose from det, rand, oracle")
+    if args.reps < 1:
+        raise ValueError(f"--reps must be >= 1, got {args.reps}")
     corpus: list[tuple[str, Hypergraph]] = []
     for token in args.corpus:
         corpus.extend(expand_corpus_token(token))
@@ -286,12 +277,6 @@ def _add_solver_options(p: argparse.ArgumentParser, default_algo: str = "det") -
     p.add_argument("--threads", type=int, default=1, help="parallel workers (1 = reproducible stats)")
     p.add_argument("--trial-cap", type=int, default=DEFAULT_TRIAL_CAP, help="refuse rand runs needing more trials")
     p.add_argument("--budget", type=int, default=None, help="oracle enumeration budget (colorings)")
-    p.add_argument(
-        "--one-subset-per-trial",
-        action="store_true",
-        help="rand samples one random subset per trial instead of sweeping all; "
-        "faster but voids the success guarantee",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="decide an instance and print a certificate")
     p.add_argument("path", help="instance file, or - for stdin")
     _add_solver_options(p)
-    p.add_argument("--radius", type=int, default=None, help="override the search radius (det)")
     p.add_argument("--stats", action="store_true", help="print a 'c stats ...' line")
     p.set_defaults(func=cmd_solve)
 

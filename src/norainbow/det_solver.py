@@ -18,8 +18,6 @@ import operator
 import time
 from typing import Callable, Iterator, Optional
 
-import numpy as np
-
 from .hypergraph import (
     COLORABLE,
     NOT_COLORABLE,
@@ -31,7 +29,7 @@ from .hypergraph import (
 )
 from .parallel import search_ranges
 
-TraceFn = Callable[[int, np.ndarray, np.ndarray], None]
+TraceFn = Callable[[int, list[int], list[bool]], None]
 
 
 def search_radius(n: int, r: int) -> int:
@@ -77,9 +75,10 @@ def local_search(
     the background color and a rainbow edge has at most one unfrozen node;
     once no rainbow edge is fully frozen, each has exactly one, and the
     tree is (r-1)-ary. trace, when given, is called as trace(depth,
-    coloring, frozen) at every node with the live color array and frozen
-    mask. Raises ValueError unless radius >= 0, the subset is r distinct
-    nodes of 0..n-1 and b is in 1..r.
+    coloring, frozen) at every node with the live list of colors and list
+    of frozen flags, which the search goes on to mutate. Raises ValueError
+    unless radius >= 0, the subset is r distinct nodes of 0..n-1 and b is
+    in 1..r.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
@@ -90,10 +89,11 @@ def local_search(
         raise ValueError(f"background color {b} outside 1..{hg.r}")
     stats = SearchStats(trials=1)
     t0 = time.perf_counter()
-    coloring = np.full(hg.n, b, dtype=np.intp)
-    coloring[nodes] = np.arange(1, hg.r + 1)
-    frozen = np.zeros(hg.n, dtype=bool)
-    frozen[nodes] = True
+    coloring = [b] * hg.n
+    frozen = [False] * hg.n
+    for color, v in enumerate(nodes, 1):
+        coloring[v] = color
+        frozen[v] = True
     certificate = _search(hg, coloring, frozen, radius, 0, stats, trace)
     stats.elapsed = time.perf_counter() - t0
     stats.max_start_nodes = stats.recursion_nodes
@@ -106,8 +106,8 @@ def local_search(
 
 def _search(
     hg: Hypergraph,
-    coloring: np.ndarray,
-    frozen: np.ndarray,
+    coloring: list[int],
+    frozen: list[bool],
     budget: int,
     depth: int,
     stats: SearchStats,
@@ -118,12 +118,12 @@ def _search(
         trace(depth, coloring, frozen)
     rainbow, free, _ = edge_bits(hg, coloring, frozen)
     if not rainbow:
-        return coloring.tolist()
+        return coloring[:]
     if budget == 0 or rainbow & ~free:
         return None
     edge = hg.edges[(rainbow & -rainbow).bit_length() - 1]
     v = next(u for u in edge if not frozen[u])
-    old = int(coloring[v])
+    old = coloring[v]
     frozen[v] = True
     for color in range(1, hg.r + 1):
         if color == old:
@@ -137,11 +137,11 @@ def _search(
     return None
 
 
-def det_nrc(hg: Hypergraph, radius: Optional[int] = None, workers: int = 1) -> SearchOutcome:
+def det_nrc(hg: Hypergraph, workers: int = 1) -> SearchOutcome:
     """Decide no-rainbow r-colorability in two passes over the (subset, b)
     starts, stopping at the first certified success: every start's root
     alone (in-process, counted as one node and one trial if it certifies),
-    then every start at the search radius, by default the full one.
+    then every start at the full search radius.
 
     n < r admits no surjective coloring, so the answer is immediate. With
     workers > 1 the second pass runs in parallel chunks; the decision is
@@ -149,18 +149,13 @@ def det_nrc(hg: Hypergraph, radius: Optional[int] = None, workers: int = 1) -> S
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if radius is not None and radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
     t0 = time.perf_counter()
     stats = SearchStats()
     certificate = None
     if hg.n >= hg.r:
         certificate = _root_certificate(hg, stats)
         if certificate is None:
-            if radius is None:
-                radius = search_radius(hg.n, hg.r)
-            range_fn = functools.partial(_det_range, radius=radius)
-            certificate = search_ranges(hg, range_fn, initial_pair_count(hg.n, hg.r), workers, stats)
+            certificate = search_ranges(hg, _det_range, initial_pair_count(hg.n, hg.r), workers, stats)
     stats.elapsed = time.perf_counter() - t0
     if certificate is None:
         return SearchOutcome(NOT_COLORABLE, None, stats)
@@ -184,7 +179,8 @@ def _root_certificate(hg: Hypergraph, stats: SearchStats) -> Optional[list[int]]
     return None
 
 
-def _det_range(hg: Hypergraph, lo: int, hi: int, stats: SearchStats, radius: int) -> Optional[list[int]]:
+def _det_range(hg: Hypergraph, lo: int, hi: int, stats: SearchStats) -> Optional[list[int]]:
+    radius = search_radius(hg.n, hg.r)
     for subset, b in itertools.islice(enumerate_initial_pairs(hg), lo, hi):
         outcome = local_search(hg, subset, b, radius)
         stats.absorb(outcome.stats)

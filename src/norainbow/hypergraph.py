@@ -2,7 +2,7 @@
 
 Nodes are 0..n-1 internally and 1..n in instance files. Colors are 1..r
 everywhere. A coloring is a plain list of ints of length n; inside a search
-it is an intp array beside a boolean mask of the frozen nodes.
+it sits beside a list of n bools, True for each frozen node.
 """
 from __future__ import annotations
 
@@ -10,8 +10,6 @@ import functools
 import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
-
-import numpy as np
 
 COLORABLE = "COLORABLE"
 NOT_COLORABLE = "NOT_COLORABLE"
@@ -232,10 +230,10 @@ def validate_candidate_pair(hg: Hypergraph, coloring: list[int], frozen: Iterabl
 # per-node search evaluation
 
 
-def edge_bits(hg: Hypergraph, coloring: np.ndarray, frozen: np.ndarray) -> tuple[int, int, int]:
+def edge_bits(hg: Hypergraph, coloring: list[int], frozen: list[bool]) -> tuple[int, int, int]:
     """Evaluate a search node on edge bit sets, bit i standing for edge i.
 
-    coloring is an intp array of colors 1..r and frozen a boolean mask.
+    coloring is a list of n colors 1..r and frozen a list of n flags.
     Returns (rainbow, free, free2): the rainbow edges, the edges with at
     least one unfrozen node, and the edges with at least two. An edge has
     r nodes, so it is rainbow exactly when every color class touches it.
@@ -243,7 +241,7 @@ def edge_bits(hg: Hypergraph, coloring: np.ndarray, frozen: np.ndarray) -> tuple
     """
     touched = [0] * (hg.r + 1)
     free = free2 = 0
-    for inc, color, is_frozen in zip(hg.incidence, coloring.tolist(), frozen.tolist()):
+    for inc, color, is_frozen in zip(hg.incidence, coloring, frozen):
         touched[color] |= inc
         if not is_frozen:
             free2 |= free & inc

@@ -39,13 +39,18 @@ def trial_count(n: int, r: int, alpha: float, cap: int = DEFAULT_TRIAL_CAP) -> i
     cap so a huge n fails loudly instead of looping for years."""
     if r < 2 or n < r:
         raise ValueError(f"need n >= r >= 2, got n={n}, r={r}")
-    factor = Fraction(str(alpha))
-    if factor <= 1:
-        raise ValueError(f"alpha must be > 1, got {alpha}")
-    count = math.ceil(factor * Fraction(r, 2) ** n)
+    _check_alpha(alpha)
+    count = math.ceil(Fraction(str(alpha)) * Fraction(r, 2) ** n)
     if count > cap:
         raise ValueError(f"trial count {count} exceeds cap {cap}; raise the cap to proceed")
     return count
+
+
+def _check_alpha(alpha: float) -> None:
+    if not alpha > 1:
+        raise ValueError(f"alpha must be > 1, got {alpha}")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
 
 
 def derive_rng(master_seed: int, trial: int, subset_index: int) -> np.random.Generator:
@@ -80,22 +85,21 @@ def rand_local_search(
     validate_candidate_pair(hg, coloring, frozen_nodes)
     stats = SearchStats(trials=1)
     t0 = time.perf_counter()
-    colors = np.array(coloring, dtype=np.intp)
-    frozen = np.zeros(hg.n, dtype=bool)
-    frozen[list(frozen_nodes)] = True
+    colors = list(coloring)
+    frozen = [v in frozen_nodes for v in range(hg.n)]
     certificate = None
     # the last of n - r + 1 evaluations sees every node frozen, so it certifies or fails
     for _ in range(hg.n - hg.r + 1):
         stats.recursion_nodes += 1
         rainbow, free, free2 = edge_bits(hg, colors, frozen)
         if not rainbow:
-            certificate = colors.tolist()
+            certificate = colors
             break
         if rainbow & ~free:
             break
         if not free & ~free2:
             # no edge has r-1 frozen nodes: an edge with a free node has two, now both 1
-            certificate = np.where(frozen, colors, 1).tolist()
+            certificate = [c if f else 1 for c, f in zip(colors, frozen)]
             break
         branch = rainbow & ~free2
         if branch:
@@ -106,7 +110,7 @@ def rand_local_search(
             edge = max(rainbow_edges, key=lambda e: sum(frozen[u] for u in e))
             unfrozen = [u for u in edge if not frozen[u]]
             v = unfrozen[int(rng.integers(len(unfrozen)))]
-        old = int(colors[v])
+        old = colors[v]
         color = int(rng.integers(hg.r - 1)) + 1
         if color >= old:
             color += 1
@@ -146,7 +150,6 @@ def rand_nrc(
     master_seed: int = 0,
     cap: int = DEFAULT_TRIAL_CAP,
     workers: int = 1,
-    one_subset_per_trial: bool = False,
 ) -> SearchOutcome:
     """Run trial_count(n, r, alpha) restart rounds, each trying every
     r-subset start, and return the first certified coloring found.
@@ -155,15 +158,10 @@ def rand_nrc(
     edgeless instance is colorable by any surjective coloring. Starts whose
     frozen subset is itself an edge are skipped without drawing: that edge
     is rainbow and fully frozen, so the walk would fail on its first check.
-
-    one_subset_per_trial is a shortcut mode: each round starts from a single
-    uniformly drawn subset instead of sweeping all of them. It is faster but
-    voids the success guarantee the full sweep provides.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if not alpha > 1:
-        raise ValueError(f"alpha must be > 1, got {alpha}")
+    _check_alpha(alpha)
     t0 = time.perf_counter()
     stats = SearchStats()
     if hg.n < hg.r:
@@ -176,7 +174,7 @@ def rand_nrc(
         stats.elapsed = time.perf_counter() - t0
         return SearchOutcome(COLORABLE, certificate, stats)
     trials = trial_count(hg.n, hg.r, alpha, cap)
-    range_fn = functools.partial(_rand_range, master_seed=master_seed, one_subset=one_subset_per_trial)
+    range_fn = functools.partial(_rand_range, master_seed=master_seed)
     certificate = search_ranges(hg, range_fn, trials, workers, stats)
     stats.elapsed = time.perf_counter() - t0
     if certificate is None:
@@ -184,21 +182,10 @@ def rand_nrc(
     return SearchOutcome(COLORABLE, certificate, stats)
 
 
-def _rand_range(
-    hg: Hypergraph, lo: int, hi: int, stats: SearchStats, master_seed: int, one_subset: bool
-) -> Optional[list[int]]:
+def _rand_range(hg: Hypergraph, lo: int, hi: int, stats: SearchStats, master_seed: int) -> Optional[list[int]]:
     """Run restart rounds lo..hi-1."""
-    subsets = list(itertools.combinations(range(hg.n), hg.r))
     for trial in range(lo, hi):
-        if one_subset:
-            # subset pick comes from its own stream, keyed by the trial alone,
-            # so it never collides with the per-start walk streams
-            pick = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(trial,)))
-            indices = [int(pick.integers(len(subsets)))]
-        else:
-            indices = range(len(subsets))
-        for subset_index in indices:
-            subset = subsets[subset_index]
+        for subset_index, subset in enumerate(itertools.combinations(range(hg.n), hg.r)):
             if subset in hg.edge_set:
                 stats.trials += 1
                 continue

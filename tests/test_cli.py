@@ -1,12 +1,15 @@
+import argparse
 import csv
 import io
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from norainbow import parse_instance, write_instance
-from norainbow.cli import CSV_HEADER, expand_corpus_token, main
+from norainbow.cli import CSV_HEADER, build_parser, expand_corpus_token, main
 from norainbow.instances import gen_complete, gen_planted, read_planted_witness
 from norainbow.oracle import oracle_verify_certificate
 
@@ -78,12 +81,6 @@ def test_solve_stats_line(capsys, planted):
     code, out, _ = run_cli(capsys, "solve", planted, "--stats")
     assert code == 10
     assert out.splitlines()[0].startswith("c stats nodes=")
-
-
-def test_solve_radius_override_warns(capsys, planted):
-    code, out, _ = run_cli(capsys, "solve", planted, "--radius", "0")
-    assert "completeness not guaranteed" in out.splitlines()[0]
-    assert code in (10, 20)
 
 
 def test_solve_parse_error(capsys, tmp_path):
@@ -223,21 +220,24 @@ def test_solve_threads_must_be_positive(capsys, planted):
 
 def test_solve_rand_alpha_checked_on_degenerate_inputs(capsys, tmp_path):
     # n < r and m = 0 are answered without trials, but alpha is still checked
-    for header in ("p nrc 4 0 3", "p nrc 2 0 3"):
-        path = tmp_path / "d.nrc"
-        path.write_text(header + "\n")
-        code, out, err = run_cli(capsys, "solve", str(path), "--algo", "rand", "--alpha", "0.5")
-        assert (code, out) == (1, "")
-        assert err == "error: alpha must be > 1, got 0.5\n"
+    for alpha, message in (("0.5", "alpha must be > 1, got 0.5"), ("inf", "alpha must be finite, got inf")):
+        for header in ("p nrc 4 0 3", "p nrc 2 0 3"):
+            path = tmp_path / "d.nrc"
+            path.write_text(header + "\n")
+            code, out, err = run_cli(capsys, "solve", str(path), "--algo", "rand", "--alpha", alpha)
+            assert (code, out) == (1, "")
+            assert err == f"error: {message}\n"
 
 
-def test_solve_negative_radius_errors_without_warning(capsys, zero_edge, tmp_path):
-    small = tmp_path / "small.nrc"
-    small.write_text("p nrc 2 0 3\n")
-    for path in (zero_edge, str(small)):
-        code, out, err = run_cli(capsys, "solve", path, "--radius", "-3")
-        assert (code, out) == (1, "")
-        assert err == "error: radius must be >= 0, got -3\n"
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["complete:r=3,n=9..6"], "empty n range '9..6' in 'complete:r=3,n=9..6'"),
+        (["complete:r=3,n=6", "--reps", "0"], "--reps must be >= 1, got 0"),
+    ],
+)
+def test_bench_refuses_to_run_nothing(capsys, argv, message):
+    assert run_cli(capsys, "bench", *argv) == (1, "", f"error: {message}\n")
 
 
 def test_oracle_bad_budget_env_var_names_it(capsys, monkeypatch, complete43):
@@ -247,18 +247,27 @@ def test_oracle_bad_budget_env_var_names_it(capsys, monkeypatch, complete43):
     assert err == "error: NRC_ORACLE_BUDGET must be an integer, got 'abc'\n"
 
 
-def test_solve_one_subset_flag(capsys, planted):
-    runs = [
-        run_cli(capsys, "solve", planted, "--algo", "rand", "--seed", "2", "--one-subset-per-trial")
-        for _ in range(2)
-    ]
-    assert runs[0] == runs[1]
-    assert runs[0][0] in (10, 20)
-
-
 def test_cli_byte_identical_across_processes(planted):
     cmd = [sys.executable, "-m", "norainbow.cli", "solve", planted, "--algo", "rand", "--seed", "11"]
     a = subprocess.run(cmd, capture_output=True)
     b = subprocess.run(cmd, capture_output=True)
     assert a.returncode == b.returncode == 10
     assert a.stdout == b.stdout
+
+
+def test_readme_cli_synopsis_matches_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    documented = {}
+    for line in block.splitlines():
+        if line.startswith("nrc "):
+            command = line.split()[1]
+            documented[command] = set()
+        documented[command] |= set(re.findall(r"--[a-z][a-z-]*", line))
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    actual = {
+        name: {opt for a in sub._actions for opt in a.option_strings if opt.startswith("--")} - {"--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert documented == actual

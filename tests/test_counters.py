@@ -23,6 +23,7 @@ INSTANCES = {
     "planted": gen_planted(8, 12, 3, 7)[0],
     "complete73": gen_complete(7, 3),
     "fallback": FALLBACK_HG,
+    "planted75": gen_planted(7, 5, 3, 5)[0],
 }
 
 # instance -> (decision, certificate, recursion_nodes, trials)
@@ -33,7 +34,8 @@ DET = {
     "fallback": (COLORABLE, "123111", 1, 1),
 }
 
-# (instance, master_seed) at alpha 1.5 -> as above
+# (instance, master_seed) at alpha 1.5 -> as above; ("planted75", 2) takes
+# 3 fallback steps and ends at the walk's completion exit
 RAND = {
     ("branchy", 0): (NOT_COLORABLE, None, 343, 360),
     ("branchy", 1): (NOT_COLORABLE, None, 361, 360),
@@ -47,33 +49,8 @@ RAND = {
     ("fallback", 0): (COLORABLE, "122322", 3, 2),
     ("fallback", 1): (COLORABLE, "123321", 2, 1),
     ("fallback", 2): (COLORABLE, "123111", 2, 1),
+    ("planted75", 2): (COLORABLE, "1121131", 16, 8),
 }
-
-# rand_nrc(FALLBACK_HG, alpha=1.5, master_seed=i, one_subset_per_trial=True):
-# the random subsets reach both the fallback step and, for seeds 3 and 12,
-# the walk's completion exit
-ONE_SUBSET = [
-    (COLORABLE, "112233", 3, 2),
-    (COLORABLE, "123321", 2, 1),
-    (COLORABLE, "132331", 1, 1),
-    (COLORABLE, "112113", 1, 1),
-    (COLORABLE, "132332", 2, 1),
-    (COLORABLE, "112332", 2, 1),
-    (COLORABLE, "122113", 2, 1),
-    (COLORABLE, "122113", 1, 1),
-    (COLORABLE, "121223", 2, 1),
-    (COLORABLE, "112233", 2, 1),
-    (COLORABLE, "312333", 2, 1),
-    (COLORABLE, "112213", 1, 1),
-    (COLORABLE, "111213", 1, 1),
-    (COLORABLE, "123222", 1, 1),
-    (COLORABLE, "232123", 2, 1),
-    (COLORABLE, "311213", 2, 1),
-    (COLORABLE, "212123", 2, 1),
-    (COLORABLE, "321223", 2, 1),
-    (COLORABLE, "132232", 2, 1),
-    (COLORABLE, "122323", 2, 1),
-]
 
 # rand_local_search from (FALLBACK_COLORING, FALLBACK_FROZEN) with
 # derive_rng(i, 0, 0); the start is the gap state, so every walk's first
@@ -108,14 +85,6 @@ def test_det_counters_pinned(name):
 @pytest.mark.parametrize("name, seed", sorted(RAND))
 def test_rand_counters_pinned(name, seed):
     assert _counters(rand_nrc(INSTANCES[name], alpha=1.5, master_seed=seed)) == RAND[(name, seed)]
-
-
-def test_rand_one_subset_counters_pinned():
-    got = [
-        _counters(rand_nrc(FALLBACK_HG, alpha=1.5, master_seed=seed, one_subset_per_trial=True))
-        for seed in range(len(ONE_SUBSET))
-    ]
-    assert got == ONE_SUBSET
 
 
 def test_walk_counters_pinned():

@@ -6,8 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import numpy as np
-
 from norainbow import (
     Hypergraph,
     ParseError,
@@ -240,10 +238,8 @@ def _naive_bits(hg, coloring, frozen):
     return rainbow, free, free2
 
 
-def _arrays(hg, coloring, frozen):
-    mask = np.zeros(hg.n, dtype=bool)
-    mask[list(frozen)] = True
-    return np.array(coloring, dtype=np.intp), mask
+def _state(hg, coloring, frozen):
+    return list(coloring), [v in frozen for v in range(hg.n)]
 
 
 @settings(max_examples=200)
@@ -251,7 +247,7 @@ def _arrays(hg, coloring, frozen):
 def test_edge_bits_match_naive_recount(pair, rng):
     hg, coloring = pair
     frozen = set(rng.sample(range(hg.n), rng.randint(0, hg.n)))
-    assert edge_bits(hg, *_arrays(hg, coloring, frozen)) == _naive_bits(hg, coloring, frozen)
+    assert edge_bits(hg, *_state(hg, coloring, frozen)) == _naive_bits(hg, coloring, frozen)
 
 
 def test_edge_bits_beyond_int64_color_bits():
@@ -259,7 +255,7 @@ def test_edge_bits_beyond_int64_color_bits():
     hg = Hypergraph(71, 70, (tuple(range(70)), tuple(range(1, 71))))
     coloring = list(range(1, 71)) + [1]
     frozen = set(range(0, 71, 2))
-    got = edge_bits(hg, *_arrays(hg, coloring, frozen))
+    got = edge_bits(hg, *_state(hg, coloring, frozen))
     assert got == _naive_bits(hg, coloring, frozen) == (0b11, 0b11, 0b11)
 
 
@@ -273,7 +269,7 @@ def test_lowest_branch_bit_matches_pure_function():
         hg = gen_random(n, rng.randint(0, min(8, math.comb(n, r))), r, rng.randrange(10**6))
         coloring = [rng.randint(1, r) for _ in range(n)]
         frozen = set(rng.sample(range(n), rng.randint(0, n)))
-        rainbow, free, free2 = edge_bits(hg, *_arrays(hg, coloring, frozen))
+        rainbow, free, free2 = edge_bits(hg, *_state(hg, coloring, frozen))
         branch = rainbow & free & ~free2
         got = None
         if branch:

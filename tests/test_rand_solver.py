@@ -35,6 +35,8 @@ def test_trial_count_values():
 def test_trial_count_guards():
     with pytest.raises(ValueError, match="alpha"):
         trial_count(5, 3, 1.0)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        trial_count(5, 3, float("inf"))
     with pytest.raises(ValueError, match="cap"):
         trial_count(40, 3, 2.0)
     with pytest.raises(ValueError):
@@ -281,20 +283,6 @@ def test_walk_iteration_bound_and_monotone_freezing():
         recolored = [v for v, _, _ in trace]
         assert len(recolored) == len(set(recolored))  # frozen nodes never change again
         assert not {0, 1, 2} & set(recolored)
-
-
-def test_rand_nrc_one_subset_mode():
-    # shortcut mode: one uniformly drawn subset per round
-    hg = gen_complete(4, 3)
-    out = rand_nrc(hg, alpha=2.0, master_seed=0, one_subset_per_trial=True)
-    assert out.decision == NOT_COLORABLE
-    assert out.stats.trials == trial_count(4, 3, 2.0)
-    planted, _ = gen_planted(10, 15, 3, 2)
-    a = rand_nrc(planted, alpha=3.0, master_seed=8, one_subset_per_trial=True)
-    b = rand_nrc(planted, alpha=3.0, master_seed=8, one_subset_per_trial=True)
-    assert (a.decision, a.certificate, a.stats.trials) == (b.decision, b.certificate, b.stats.trials)
-    if a.colorable:
-        assert oracle_verify_certificate(planted, a.certificate)
 
 
 def test_rand_parallel_matches_sequential_decision():
