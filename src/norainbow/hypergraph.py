@@ -1,7 +1,7 @@
 """r-uniform hypergraphs, colorings, and the predicates every solver shares.
 
 Nodes are 0..n-1 internally and 1..n in instance files. Colors are 1..r
-everywhere. A coloring is a plain list of ints of length n; inside a search
+everywhere. A coloring is a plain list of ints of length n; in det's search
 it sits beside a list of n bools, True for each frozen node.
 """
 from __future__ import annotations
@@ -70,9 +70,11 @@ class SearchStats:
     """Work counters for one solver run.
 
     trials counts the starts searched: det's full-radius starts, or the one
-    root of its sweep that certifies; rand's walks and the subsets that are
-    edges. recursion_nodes counts det's search-tree nodes (1 for that root)
-    and rand's walk iterations, max_start_nodes the most of any one start.
+    root of its sweep that certifies; for rand, all C(n, r) subsets of every
+    round run (its walks and the subsets that are edges). recursion_nodes
+    counts det's search-tree nodes (1 for that root) and the state
+    evaluations of every rand walk of every round run, max_start_nodes the
+    most of any one start.
     fallback_nodes stays 0 (det takes no fallback branch, rand counts its
     fallback steps as nodes); `c stats ... fallback=` and perfbench read it.
     """
@@ -207,25 +209,6 @@ def is_no_rainbow_coloring(hg: Hypergraph, coloring: list[int]) -> bool:
     return first_rainbow_edge(hg, coloring) is None
 
 
-def validate_candidate_pair(hg: Hypergraph, coloring: list[int], frozen: Iterable[int]) -> None:
-    """Raise unless (coloring, frozen) is a candidate pair: every color 1..r
-    appears on some frozen node (which forces surjectivity and |frozen| >= r)."""
-    if len(coloring) != hg.n:
-        raise ValueError(f"coloring length {len(coloring)} != n={hg.n}")
-    for c in coloring:
-        if not 1 <= c <= hg.r:
-            raise ValueError(f"color {c} outside 1..{hg.r}")
-    frozen_colors = set()
-    for v in frozen:
-        if not 0 <= v < hg.n:
-            raise ValueError(f"frozen node {v} outside 0..{hg.n - 1}")
-        frozen_colors.add(coloring[v])
-    if frozen_colors != set(range(1, hg.r + 1)):
-        raise ValueError(
-            f"frozen set must witness every color 1..{hg.r}, has {sorted(frozen_colors)}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # per-node search evaluation
 
@@ -237,7 +220,7 @@ def edge_bits(hg: Hypergraph, coloring: list[int], frozen: list[bool]) -> tuple[
     Returns (rainbow, free, free2): the rainbow edges, the edges with at
     least one unfrozen node, and the edges with at least two. An edge has
     r nodes, so it is rainbow exactly when every color class touches it.
-    Both solvers evaluate every search node afresh from these three sets.
+    det evaluates every search node afresh from these three sets.
     """
     touched = [0] * (hg.r + 1)
     free = free2 = 0

@@ -1,11 +1,15 @@
 """Randomized local search: many independent restarts, each a short
 random repair walk from a frozen r-subset with a random background.
 
-A trial loops over every r-subset F of the nodes; the walk from each start
-recolors the unfrozen node of a nearly-frozen rainbow edge to a uniformly
-random other color, freezing it, for at most n - r steps. NOT_COLORABLE
-answers are therefore one-sided: a witness may be missed, but every
-COLORABLE answer carries a verified certificate.
+A round walks from every r-subset F of the nodes that is not an edge: F is
+frozen on the colors 1..r in node order, every other node gets a uniform
+color, and each walk recolors the unfrozen node of a nearly-frozen rainbow
+edge to a uniformly random other color, freezing it, for at most n - r
+steps. The round's K walks run in lockstep on (K, n) color and frozen
+arrays, and round t draws everything from its own Generator, keyed on
+(master_seed, t): first the K backgrounds, then each step's choices.
+NOT_COLORABLE answers are therefore one-sided: a witness may be missed, but
+every COLORABLE answer carries a verified certificate.
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ import itertools
 import math
 import time
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -24,9 +28,7 @@ from .hypergraph import (
     Hypergraph,
     SearchOutcome,
     SearchStats,
-    edge_bits,
     is_no_rainbow_coloring,
-    validate_candidate_pair,
 )
 from .parallel import search_ranges
 
@@ -53,91 +55,135 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be finite, got {alpha}")
 
 
-def derive_rng(master_seed: int, trial: int, subset_index: int) -> np.random.Generator:
-    """Independent, reproducible stream for one (trial, subset) start. Every
-    start owns its stream, so runs are schedule-independent."""
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(trial, subset_index)))
+class Walks(NamedTuple):
+    """End state of a batch of walks, one row per start."""
+
+    colors: np.ndarray  # (K, n); a certified row holds its certificate
+    frozen: np.ndarray  # (K, n) bool
+    certified: np.ndarray  # (K,) bool
+    evaluations: np.ndarray  # (K,) states each walk evaluated
+
+
+def lockstep_walks(hg: Hypergraph, colors, frozen, rng: np.random.Generator) -> Walks:
+    """One random repair walk from each row of the (K, n) integer colors
+    and (K, n) bool frozen arrays, all stepped at once. Each row's frozen
+    set must be r nodes carrying every color 1..r. The inputs are copied.
+
+    Every live walk evaluates its state, for at most n - r + 1 evaluations,
+    and leaves at the first exit that applies: no rainbow edge certifies the
+    coloring; a fully frozen rainbow edge fails the walk; no edge with
+    exactly r-1 frozen nodes certifies the frozen colors with every unfrozen
+    node set to 1. Otherwise it takes one step (_recolor). The remaining
+    walks then draw from rng, in row order, one node pick each and then one
+    color each.
+    """
+    colors, frozen = _checked_starts(hg, colors, frozen)
+    edges = np.array(hg.edges, dtype=np.intp).reshape(hg.m, hg.r)
+    certified = np.zeros(len(colors), dtype=bool)
+    evaluations = np.zeros(len(colors), dtype=np.int64)
+    live = np.arange(len(colors))
+    # the last evaluation sees every node frozen, so it certifies or fails
+    for _ in range(hg.n - hg.r + 1):
+        evaluations[live] += 1
+        rainbow, frozen_count = _edge_state(hg.r, edges, colors[live], frozen[live])
+        has_rainbow = rainbow.any(axis=1)
+        open_ = ~(rainbow & (frozen_count == hg.r)).any(axis=1)
+        near = (frozen_count == hg.r - 1).any(axis=1)
+        step = has_rainbow & open_ & near
+        # no edge has r-1 frozen nodes: an edge with a free node has two, now both 1
+        fill = live[has_rainbow & open_ & ~near]
+        colors[fill] = np.where(frozen[fill], colors[fill], 1)
+        certified[live[open_ & ~step]] = True
+        live = live[step]
+        if not live.size:
+            break
+        _recolor(hg.r, edges, colors, frozen, live, rainbow[step], frozen_count[step], rng)
+    return Walks(colors, frozen, certified, evaluations)
+
+
+def _edge_state(r: int, edges: np.ndarray, colors: np.ndarray, frozen: np.ndarray):
+    """(K, m) arrays: whether each edge is rainbow, and its frozen node count.
+    Colors 1..r are distinct exactly when their values 1 << c sum to
+    2^(r+1) - 2."""
+    bits = _powers(r)[colors]
+    total = bits[:, edges[:, 0]]
+    count = frozen[:, edges[:, 0]].astype(np.min_scalar_type(r + 1))
+    for j in range(1, r):
+        total += bits[:, edges[:, j]]
+        count += frozen[:, edges[:, j]]
+    return total == (1 << (r + 1)) - 2, count
+
+
+def _recolor(r, edges, colors, frozen, rows, rainbow, frozen_count, rng) -> None:
+    """One step of each walk in rows: on the lowest rainbow edge with the
+    most frozen nodes (the lowest with r-1 when there is one), recolor a
+    uniform unfrozen node to a uniform other color and freeze it."""
+    edge = edges[(rainbow * (frozen_count + 1)).argmax(axis=1)]
+    free = ~frozen[rows[:, None], edge]
+    pick = rng.integers(free.sum(axis=1))
+    v = edge[np.arange(len(rows)), (free.cumsum(axis=1) > pick[:, None]).argmax(axis=1)]
+    color = rng.integers(1, r, size=len(rows))
+    color += color >= colors[rows, v]
+    colors[rows, v] = color
+    frozen[rows, v] = True
+
+
+def _powers(r: int) -> np.ndarray:
+    """1 << c for c in 0..r, in a dtype that holds any sum of r of them."""
+    return np.array([1 << c for c in range(r + 1)], dtype=np.min_scalar_type(r << r))
+
+
+def _checked_starts(hg: Hypergraph, colors, frozen) -> tuple[np.ndarray, np.ndarray]:
+    """Copies of the walk starts, checked: integer colors in 1..r, and in
+    each row r frozen nodes that carry every color."""
+    colors, frozen = np.array(colors), np.array(frozen)
+    if colors.ndim != 2 or colors.shape[1] != hg.n or frozen.shape != colors.shape:
+        raise ValueError(
+            f"starts need colors and frozen arrays of shape (K, n={hg.n}), "
+            f"got {colors.shape} and {frozen.shape}"
+        )
+    if colors.dtype.kind not in "iu" or frozen.dtype != bool:
+        raise ValueError(
+            f"colors must be integers and frozen flags bools, got {colors.dtype} and {frozen.dtype}"
+        )
+    bad = (colors < 1) | (colors > hg.r)
+    if bad.any():
+        raise ValueError(f"color {colors[bad][0]} outside 1..{hg.r}")
+    counts = frozen.sum(axis=1)
+    if (counts != hg.r).any():
+        raise ValueError(f"start needs exactly r={hg.r} frozen nodes, got {counts[counts != hg.r][0]}")
+    seen = (_powers(hg.r)[colors] * frozen).sum(axis=1)
+    missing = np.flatnonzero(seen != (1 << (hg.r + 1)) - 2)
+    if missing.size:
+        has = sorted(set(colors[missing[0]][frozen[missing[0]]].tolist()))
+        raise ValueError(f"frozen set must witness every color 1..{hg.r}, has {has}")
+    return colors, frozen
 
 
 def rand_local_search(
-    hg: Hypergraph,
-    coloring: list[int],
-    frozen: Iterable[int],
-    rng: np.random.Generator,
-    trace: Optional[list] = None,
+    hg: Hypergraph, coloring: list[int], frozen: Iterable[int], rng: np.random.Generator
 ) -> SearchOutcome:
-    """One random repair walk from a candidate pair with |frozen| = r.
-
-    The walk evaluates the start and the state after each of at most n - r
-    recolorings, each afresh from the edge bit sets of edge_bits, as in the
-    det search: no rainbow edge certifies the coloring; a fully frozen
-    rainbow edge fails the walk; no edge with exactly r-1 frozen nodes
-    certifies the frozen colors with every unfrozen node set to 1;
-    otherwise the unfrozen node of the lowest rainbow edge with r-1 frozen
-    nodes (or, when no rainbow edge has one, a uniformly random unfrozen
-    node of the lowest-index rainbow edge with the most frozen nodes) is
-    recolored to a uniformly random other color and frozen.
-    trace, when given, records (node, old, new) per recoloring.
-    """
-    frozen_nodes = set(frozen)
-    if len(frozen_nodes) != hg.r:
-        raise ValueError(f"start needs exactly r={hg.r} frozen nodes, got {len(frozen_nodes)}")
-    validate_candidate_pair(hg, coloring, frozen_nodes)
-    stats = SearchStats(trials=1)
+    """One random repair walk from coloring with the r nodes in frozen
+    frozen: lockstep_walks on a batch of this one start."""
+    nodes = sorted(set(frozen))
+    if nodes and not 0 <= nodes[0] <= nodes[-1] < hg.n:
+        raise ValueError(f"frozen node outside 0..{hg.n - 1}: {nodes}")
     t0 = time.perf_counter()
-    colors = list(coloring)
-    frozen = [v in frozen_nodes for v in range(hg.n)]
-    certificate = None
-    # the last of n - r + 1 evaluations sees every node frozen, so it certifies or fails
-    for _ in range(hg.n - hg.r + 1):
-        stats.recursion_nodes += 1
-        rainbow, free, free2 = edge_bits(hg, colors, frozen)
-        if not rainbow:
-            certificate = colors
-            break
-        if rainbow & ~free:
-            break
-        if not free & ~free2:
-            # no edge has r-1 frozen nodes: an edge with a free node has two, now both 1
-            certificate = [c if f else 1 for c, f in zip(colors, frozen)]
-            break
-        branch = rainbow & ~free2
-        if branch:
-            edge = hg.edges[(branch & -branch).bit_length() - 1]
-            v = next(u for u in edge if not frozen[u])
-        else:
-            rainbow_edges = [hg.edges[i] for i, bit in enumerate(bin(rainbow)[:1:-1]) if bit == "1"]
-            edge = max(rainbow_edges, key=lambda e: sum(frozen[u] for u in e))
-            unfrozen = [u for u in edge if not frozen[u]]
-            v = unfrozen[int(rng.integers(len(unfrozen)))]
-        old = colors[v]
-        color = int(rng.integers(hg.r - 1)) + 1
-        if color >= old:
-            color += 1
-        if trace is not None:
-            trace.append((v, old, color))
-        colors[v] = color
-        frozen[v] = True
+    mask = np.zeros((1, hg.n), dtype=bool)
+    mask[0, nodes] = True
+    walks = lockstep_walks(hg, [coloring], mask, rng)
+    evaluations = int(walks.evaluations[0])
+    stats = SearchStats(recursion_nodes=evaluations, trials=1, max_start_nodes=evaluations)
     stats.elapsed = time.perf_counter() - t0
-    stats.max_start_nodes = stats.recursion_nodes
-    if certificate is None:
+    if not walks.certified[0]:
         return SearchOutcome(NOT_COLORABLE, None, stats)
+    return SearchOutcome(COLORABLE, _verified(hg, walks.colors[0].tolist()), stats)
+
+
+def _verified(hg: Hypergraph, certificate: list[int]) -> list[int]:
     if not is_no_rainbow_coloring(hg, certificate):
         raise RuntimeError("internal error: walk produced an invalid certificate")
-    return SearchOutcome(COLORABLE, certificate, stats)
-
-
-def _start_coloring(hg: Hypergraph, subset: tuple[int, ...], rng: np.random.Generator) -> list[int]:
-    """Colors 1..r on the subset in node order, uniform colors elsewhere."""
-    coloring = [0] * hg.n
-    for color, v in enumerate(subset, start=1):
-        coloring[v] = color
-    others = [v for v in range(hg.n) if coloring[v] == 0]
-    if others:
-        draws = rng.integers(1, hg.r + 1, size=len(others))
-        for v, c in zip(others, draws):
-            coloring[v] = int(c)
-    return coloring
+    return certificate
 
 
 def _canonical_certificate(hg: Hypergraph) -> list[int]:
@@ -151,8 +197,10 @@ def rand_nrc(
     cap: int = DEFAULT_TRIAL_CAP,
     workers: int = 1,
 ) -> SearchOutcome:
-    """Run trial_count(n, r, alpha) restart rounds, each trying every
-    r-subset start, and return the first certified coloring found.
+    """Run trial_count(n, r, alpha) restart rounds, each walking from every
+    r-subset start, and return the certificate of the first round that
+    finds one: the one of its lowest certified subset index, in
+    itertools.combinations order.
 
     Degenerate inputs short-circuit: n < r is never colorable, and an
     edgeless instance is colorable by any surjective coloring. Starts whose
@@ -183,16 +231,24 @@ def rand_nrc(
 
 
 def _rand_range(hg: Hypergraph, lo: int, hi: int, stats: SearchStats, master_seed: int) -> Optional[list[int]]:
-    """Run restart rounds lo..hi-1."""
+    """Run restart rounds lo..hi-1. Each round counts all C(n, r) subsets as
+    trials and walks from the K that are not edges, as one lockstep batch."""
+    starts = [s for s in itertools.combinations(range(hg.n), hg.r) if s not in hg.edge_set]
+    rows = np.arange(len(starts))[:, None]
+    starts = np.array(starts, dtype=np.intp).reshape(len(starts), hg.r)
+    frozen = np.zeros((len(starts), hg.n), dtype=bool)
+    frozen[rows, starts] = True
     for trial in range(lo, hi):
-        for subset_index, subset in enumerate(itertools.combinations(range(hg.n), hg.r)):
-            if subset in hg.edge_set:
-                stats.trials += 1
-                continue
-            rng = derive_rng(master_seed, trial, subset_index)
-            coloring = _start_coloring(hg, subset, rng)
-            outcome = rand_local_search(hg, coloring, subset, rng)
-            stats.absorb(outcome.stats)
-            if outcome.colorable:
-                return outcome.certificate
+        stats.trials += math.comb(hg.n, hg.r)
+        if not len(starts):
+            continue
+        rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(trial,)))
+        colors = rng.integers(1, hg.r + 1, size=frozen.shape)
+        colors[rows, starts] = np.arange(1, hg.r + 1)
+        walks = lockstep_walks(hg, colors, frozen, rng)
+        stats.recursion_nodes += int(walks.evaluations.sum())
+        stats.max_start_nodes = max(stats.max_start_nodes, int(walks.evaluations.max()))
+        hits = np.flatnonzero(walks.certified)
+        if hits.size:
+            return _verified(hg, walks.colors[hits[0]].tolist())
     return None

@@ -1,7 +1,10 @@
-"""Plain reference predicates that tests compare the package against."""
+"""Plain reference predicates that tests compare the package against, and
+the witness-aligned walk starts of the success-rate tests."""
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
+
+import numpy as np
 
 from norainbow import Hypergraph, enumerate_initial_pairs, first_rainbow_edge, is_rainbow_edge
 
@@ -70,3 +73,46 @@ def first_root_certificate(hg: Hypergraph) -> Optional[list[int]]:
         if first_rainbow_edge(hg, coloring) is None:
             return coloring
     return None
+
+
+def reference_walk(
+    hg: Hypergraph, coloring: list[int], frozen: set[int], choices: Iterable[tuple[int, int]]
+) -> tuple[Optional[list[int]], int]:
+    """The random repair walk from (coloring, frozen) that takes its
+    (pick, draw) choices in turn, on the plain predicates above: pick
+    indexes the unfrozen nodes of the step's edge in node order, and the
+    node's new color is draw in 1..r-1, plus one from its old color up.
+    Returns (certificate or None, states evaluated)."""
+    colors, frozen, choices = list(coloring), set(frozen), iter(choices)
+    for evaluation in range(1, hg.n - hg.r + 2):
+        if first_rainbow_edge(hg, colors) is None:
+            return colors, evaluation
+        if has_fully_frozen_rainbow(hg, colors, frozen):
+            return None, evaluation
+        filled = completion_exit(hg, colors, frozen)
+        if filled is not None:
+            return filled, evaluation
+        branch = select_branch_edge(hg, colors, frozen)
+        ei = branch[0] if branch else fallback_edge(hg, colors, frozen)
+        pick, draw = next(choices)
+        v = [u for u in hg.edges[ei] if u not in frozen][pick]
+        colors[v] = draw + (draw >= colors[v])
+        frozen.add(v)
+    raise AssertionError("walk outlived n - r + 1 evaluations")
+
+
+def witness_aligned_starts(
+    witness: list[int], r: int, count: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """count (colors, frozen) walk starts: uniform backgrounds, then one
+    uniform node of each of the witness's color classes frozen on its
+    witness color."""
+    colors = rng.integers(1, r + 1, size=(count, len(witness)))
+    frozen = np.zeros(colors.shape, dtype=bool)
+    rows = np.arange(count)
+    for color in range(1, r + 1):
+        nodes = np.flatnonzero(np.array(witness) == color)
+        v = nodes[rng.integers(len(nodes), size=count)]
+        colors[rows, v] = color
+        frozen[rows, v] = True
+    return colors, frozen

@@ -15,11 +15,11 @@ import pytest
 
 from norainbow import (
     COLORABLE,
-    NOT_COLORABLE,
     Hypergraph,
     det_nrc,
     enumerate_initial_pairs,
     is_no_rainbow_coloring,
+    lockstep_walks,
     rand_local_search,
     rand_nrc,
     search_radius,
@@ -28,7 +28,7 @@ from norainbow import (
 from norainbow.instances import gen_complete, gen_planted, gen_random
 from norainbow.oracle import oracle_decide, oracle_verify_certificate
 
-from reference import completion_exit
+from reference import completion_exit, witness_aligned_starts
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -170,17 +170,10 @@ def test_c6_walk_success_lower_bound():
     ok = True
     for n, m in ((6, 8), (7, 10), (8, 12)):
         hg, witness = gen_planted(n, m, 3, 4000 + n)
-        classes = {c: [v for v in range(n) if witness[v] == c] for c in (1, 2, 3)}
         streams = 10_000
-        hits = 0
-        for i in range(streams):
-            rng = np.random.default_rng(np.random.SeedSequence(777, spawn_key=(n, i)))
-            frozen = {cls[int(rng.integers(len(cls)))] for cls in classes.values()}
-            coloring = [
-                witness[v] if v in frozen else int(rng.integers(1, 4)) for v in range(n)
-            ]
-            hits += rand_local_search(hg, coloring, frozen, rng).colorable
-        freq = hits / streams
+        rng = np.random.default_rng(np.random.SeedSequence(777, spawn_key=(n,)))
+        walks = lockstep_walks(hg, *witness_aligned_starts(witness, 3, streams, rng), rng)
+        freq = walks.certified.sum() / streams
         floor = 0.8 * (2 / 3) ** n
         ok &= freq >= floor
         details.append(f"n={n}: {freq:.4f} >= {floor:.4f}")

@@ -1,6 +1,6 @@
 """Pinned search counters.
 
-Every value below was recorded from det_nrc, rand_nrc and rand_local_search
+Every value below was recorded from det_nrc, rand_nrc and lockstep_walks
 on small seeded inputs: the decision, the certificate (one digit per node),
 recursion_nodes and trials. A change that restructures or speeds up a
 search without changing what it searches must leave all of them identical;
@@ -10,10 +10,17 @@ det_nrc first sweeps every start's root and only then searches every start
 at the full radius, so a colorable instance with a root certificate pins
 that certificate with 1 node and 1 trial (planted, fallback), while an
 uncolorable one pins the full pass alone.
+
+rand_nrc runs every walk of a round to its exit and counts all C(n, r)
+subsets of each round it runs as trials, so its trials are a multiple of
+C(n, r) and its certificate is the lowest certified subset index of the
+first round that has one.
 """
 import pytest
 
-from norainbow import COLORABLE, NOT_COLORABLE, derive_rng, det_nrc, rand_local_search, rand_nrc
+import numpy as np
+
+from norainbow import COLORABLE, NOT_COLORABLE, det_nrc, lockstep_walks, rand_nrc
 from norainbow.instances import gen_complete, gen_planted
 
 from test_det_solver import BRANCHY_UNSAT, FALLBACK_COLORING, FALLBACK_FROZEN, FALLBACK_HG
@@ -24,6 +31,7 @@ INSTANCES = {
     "complete73": gen_complete(7, 3),
     "fallback": FALLBACK_HG,
     "planted75": gen_planted(7, 5, 3, 5)[0],
+    "planted718": gen_planted(7, 18, 3, 17)[0],
 }
 
 # instance -> (decision, certificate, recursion_nodes, trials)
@@ -34,36 +42,37 @@ DET = {
     "fallback": (COLORABLE, "123111", 1, 1),
 }
 
-# (instance, master_seed) at alpha 1.5 -> as above; ("planted75", 2) takes
-# 3 fallback steps and ends at the walk's completion exit
+# (instance, master_seed) at alpha 1.5 -> as above; ("planted718", 0) wins
+# in its fourth round, where the walks from subsets 4 and 15 both certify
 RAND = {
-    ("branchy", 0): (NOT_COLORABLE, None, 343, 360),
-    ("branchy", 1): (NOT_COLORABLE, None, 361, 360),
-    ("branchy", 2): (NOT_COLORABLE, None, 361, 360),
-    ("planted", 0): (COLORABLE, "12221322", 9, 4),
-    ("planted", 1): (COLORABLE, "11212231", 44, 19),
-    ("planted", 2): (COLORABLE, "12132232", 5, 2),
+    ("branchy", 0): (NOT_COLORABLE, None, 359, 360),
+    ("branchy", 1): (NOT_COLORABLE, None, 358, 360),
+    ("branchy", 2): (NOT_COLORABLE, None, 365, 360),
+    ("planted", 0): (COLORABLE, "12221322", 144, 56),
+    ("planted", 1): (COLORABLE, "12111231", 140, 56),
+    ("planted", 2): (COLORABLE, "12221312", 132, 56),
     ("complete73", 0): (NOT_COLORABLE, None, 0, 910),
     ("complete73", 1): (NOT_COLORABLE, None, 0, 910),
     ("complete73", 2): (NOT_COLORABLE, None, 0, 910),
-    ("fallback", 0): (COLORABLE, "122322", 3, 2),
-    ("fallback", 1): (COLORABLE, "123321", 2, 1),
-    ("fallback", 2): (COLORABLE, "123111", 2, 1),
-    ("planted75", 2): (COLORABLE, "1121131", 16, 8),
+    ("fallback", 0): (COLORABLE, "123223", 27, 20),
+    ("fallback", 1): (COLORABLE, "123222", 29, 20),
+    ("fallback", 2): (COLORABLE, "123222", 31, 20),
+    ("planted75", 2): (COLORABLE, "1232121", 70, 35),
+    ("planted718", 0): (COLORABLE, "1222231", 165, 140),
 }
 
-# rand_local_search from (FALLBACK_COLORING, FALLBACK_FROZEN) with
-# derive_rng(i, 0, 0); the start is the gap state, so every walk's first
-# step is the fallback
+# lockstep_walks from eight rows of (FALLBACK_COLORING, FALLBACK_FROZEN)
+# with default_rng(0): (certificate, evaluations) per row. The start is the
+# gap state, so every walk's first step is the fallback
 WALKS = [
-    (COLORABLE, "123313", 2, 1),
-    (NOT_COLORABLE, None, 2, 1),
-    (COLORABLE, "123313", 2, 1),
-    (COLORABLE, "122113", 2, 1),
-    (NOT_COLORABLE, None, 2, 1),
-    (COLORABLE, "122323", 2, 1),
-    (COLORABLE, "121313", 2, 1),
-    (COLORABLE, "122323", 2, 1),
+    ("122323", 2),
+    ("122213", 2),
+    ("122213", 2),
+    ("123313", 2),
+    ("123313", 2),
+    ("123313", 2),
+    ("123313", 2),
+    ("123313", 2),
 ]
 
 
@@ -88,8 +97,12 @@ def test_rand_counters_pinned(name, seed):
 
 
 def test_walk_counters_pinned():
+    colors = np.tile(FALLBACK_COLORING, (len(WALKS), 1))
+    frozen = np.zeros(colors.shape, dtype=bool)
+    frozen[:, sorted(FALLBACK_FROZEN)] = True
+    walks = lockstep_walks(FALLBACK_HG, colors, frozen, np.random.default_rng(0))
     got = [
-        _counters(rand_local_search(FALLBACK_HG, FALLBACK_COLORING, FALLBACK_FROZEN, derive_rng(seed, 0, 0)))
-        for seed in range(len(WALKS))
+        ("".join(map(str, row)) if ok else None, int(evaluations))
+        for row, ok, evaluations in zip(walks.colors, walks.certified, walks.evaluations)
     ]
     assert got == WALKS

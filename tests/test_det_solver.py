@@ -4,7 +4,6 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from norainbow import (
     COLORABLE,

@@ -15,7 +15,7 @@ from norainbow import (
     parse_instance,
     write_instance,
 )
-from norainbow.hypergraph import edge_bits, validate_candidate_pair
+from norainbow.hypergraph import edge_bits
 from norainbow.instances import gen_complete, gen_random
 
 from reference import hamming, select_branch_edge
@@ -186,20 +186,6 @@ def test_hamming_is_a_metric(triple):
     assert hamming(a, b) == hamming(b, a)
     assert (hamming(a, b) == 0) == (a == b)
     assert hamming(a, c) <= hamming(a, b) + hamming(b, c)
-
-
-# --- candidate pairs --------------------------------------------------------
-
-
-def test_validate_candidate_pair():
-    hg = Hypergraph(4, 3)
-    validate_candidate_pair(hg, [1, 2, 3, 1], {0, 1, 2})
-    with pytest.raises(ValueError, match="witness every color"):
-        validate_candidate_pair(hg, [1, 2, 3, 1], {0, 1, 3})
-    with pytest.raises(ValueError, match="length"):
-        validate_candidate_pair(hg, [1, 2, 3], {0, 1, 2})
-    with pytest.raises(ValueError, match="color"):
-        validate_candidate_pair(hg, [1, 2, 5, 1], {0, 1, 2})
 
 
 # --- branch selection -------------------------------------------------------
