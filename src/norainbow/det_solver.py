@@ -6,6 +6,9 @@ unfrozen node of a nearly-frozen rainbow edge per level, freezing it, until
 it either proves the start hopeless or can exhibit a certificate. The
 radius bound keeps each start's tree at most (r-1)-ary of bounded depth.
 
+Recolored nodes never return to b, so the search carries per-color edge
+bit sets down the tree: O(r) bit set operations per node, whatever n.
+
 det_nrc first tests every start's root alone, counting only a root that
 certifies, and searches every start at the full radius if none does.
 """
@@ -24,7 +27,6 @@ from .hypergraph import (
     Hypergraph,
     SearchOutcome,
     SearchStats,
-    edge_bits,
     is_no_rainbow_coloring,
 )
 from .parallel import search_ranges
@@ -66,19 +68,23 @@ def local_search(
     nodes frozen on the colors 1..r in ascending node order, every other
     node unfrozen on the background color b.
 
-    Each search node is evaluated afresh from the edge bit sets of
-    edge_bits. Case order per node: no rainbow edge -> certify the current
-    coloring; out of budget, or a fully frozen rainbow edge -> fail;
-    otherwise recolor the unfrozen node of the lowest-index rainbow edge to
-    each of the other r-1 colors, freeze it, and recurse with one less
-    budget. Every recolored node is frozen at once, so unfrozen nodes keep
-    the background color and a rainbow edge has at most one unfrozen node;
-    once no rainbow edge is fully frozen, each has exactly one, and the
-    tree is (r-1)-ary. trace, when given, is called as trace(depth,
-    coloring, frozen) at every node with the live list of colors and list
-    of frozen flags, which the search goes on to mutate. Raises ValueError
-    unless radius >= 0, the subset is r distinct nodes of 0..n-1 and b is
-    in 1..r.
+    Case order per node: no rainbow edge -> certify the current coloring;
+    out of budget, or a fully frozen rainbow edge -> fail; otherwise
+    recolor the unfrozen node of the lowest-index rainbow edge to each of
+    the other r-1 colors, freeze it, and recurse with one less budget.
+
+    Recolored nodes are frozen at once, so every unfrozen node keeps b and
+    the subset's node w is the only frozen node colored b. The search
+    carries touched, per color c != b the edges its nodes meet, and dup,
+    the edges two nodes of one such color share. An edge has r nodes, so
+    it is rainbow when it is in every touched set but not in dup, and a
+    fully frozen rainbow edge when it is in every touched set and holds w.
+    Once no rainbow edge is fully frozen, each has exactly one unfrozen
+    node, and the tree is (r-1)-ary. trace, when given, is called as
+    trace(depth, coloring, frozen) at every node with the live list of
+    colors and list of frozen flags, which the search goes on to mutate.
+    Raises ValueError unless radius >= 0, the subset is r distinct nodes
+    of 0..n-1 and b is in 1..r.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
@@ -94,7 +100,10 @@ def local_search(
     for color, v in enumerate(nodes, 1):
         coloring[v] = color
         frozen[v] = True
-    certificate = _search(hg, coloring, frozen, radius, 0, stats, trace)
+    # touched[c - 1] per color c; b's entry is -1, all ones, so their AND skips it
+    touched = [-1 if c == b else hg.incidence[v] for c, v in enumerate(nodes, 1)]
+    w_edges = hg.incidence[nodes[b - 1]]
+    certificate = _search(hg, coloring, frozen, touched, 0, w_edges, radius, 0, stats, trace)
     stats.elapsed = time.perf_counter() - t0
     stats.max_start_nodes = stats.recursion_nodes
     if certificate is None:
@@ -108,6 +117,9 @@ def _search(
     hg: Hypergraph,
     coloring: list[int],
     frozen: list[bool],
+    touched: list[int],
+    dup: int,
+    w_edges: int,
     budget: int,
     depth: int,
     stats: SearchStats,
@@ -116,20 +128,27 @@ def _search(
     stats.recursion_nodes += 1
     if trace is not None:
         trace(depth, coloring, frozen)
-    rainbow, free, _ = edge_bits(hg, coloring, frozen)
+    covered = functools.reduce(operator.and_, touched)
+    rainbow = covered & ~dup
     if not rainbow:
         return coloring[:]
-    if budget == 0 or rainbow & ~free:
+    if budget == 0 or covered & w_edges:
         return None
     edge = hg.edges[(rainbow & -rainbow).bit_length() - 1]
     v = next(u for u in edge if not frozen[u])
+    inc = hg.incidence[v]
     old = coloring[v]
     frozen[v] = True
     for color in range(1, hg.r + 1):
         if color == old:
             continue
         coloring[v] = color
-        found = _search(hg, coloring, frozen, budget - 1, depth + 1, stats, trace)
+        before = touched[color - 1]
+        touched[color - 1] = before | inc
+        found = _search(
+            hg, coloring, frozen, touched, dup | (before & inc), w_edges, budget - 1, depth + 1, stats, trace
+        )
+        touched[color - 1] = before
         if found is not None:
             return found
     coloring[v] = old

@@ -7,7 +7,6 @@ it sits beside a list of n bools, True for each frozen node.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -57,12 +56,15 @@ class Hypergraph:
 
     @functools.cached_property
     def incidence(self) -> tuple[int, ...]:
-        """Per node, the bit set of the edges that contain it: bit i is edge i."""
-        inc = [0] * self.n
+        """Per node, the bit set of the edges that contain it: bit i is edge i.
+        Bits are set in one little-endian byte row per node, converted once:
+        OR-ing 1 << i into a growing int would copy it per edge, O(m^2/64)."""
+        rows = [bytearray((self.m + 7) // 8) for _ in range(self.n)]
         for i, e in enumerate(self.edges):
+            byte, bit = i >> 3, 1 << (i & 7)
             for v in e:
-                inc[v] |= 1 << i
-        return tuple(inc)
+                rows[v][byte] |= bit
+        return tuple(int.from_bytes(row, "little") for row in rows)
 
 
 @dataclass
@@ -208,25 +210,3 @@ def is_no_rainbow_coloring(hg: Hypergraph, coloring: list[int]) -> bool:
         return False
     return first_rainbow_edge(hg, coloring) is None
 
-
-# ---------------------------------------------------------------------------
-# per-node search evaluation
-
-
-def edge_bits(hg: Hypergraph, coloring: list[int], frozen: list[bool]) -> tuple[int, int, int]:
-    """Evaluate a search node on edge bit sets, bit i standing for edge i.
-
-    coloring is a list of n colors 1..r and frozen a list of n flags.
-    Returns (rainbow, free, free2): the rainbow edges, the edges with at
-    least one unfrozen node, and the edges with at least two. An edge has
-    r nodes, so it is rainbow exactly when every color class touches it.
-    det evaluates every search node afresh from these three sets.
-    """
-    touched = [0] * (hg.r + 1)
-    free = free2 = 0
-    for inc, color, is_frozen in zip(hg.incidence, coloring, frozen):
-        touched[color] |= inc
-        if not is_frozen:
-            free2 |= free & inc
-            free |= inc
-    return functools.reduce(operator.and_, touched[1:]), free, free2

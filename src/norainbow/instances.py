@@ -44,6 +44,8 @@ class InstanceSpec:
 def gen_random(n: int, m: int, r: int, seed: int) -> Hypergraph:
     """m distinct edges drawn uniformly without replacement from all
     r-subsets of the n nodes; a pure function of its arguments."""
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
     limit = math.comb(n, r)
     if m > limit:
         raise ValueError(f"m={m} exceeds the {limit} distinct r-subsets of {n} nodes")
@@ -69,6 +71,8 @@ def gen_planted(n: int, m: int, r: int, seed: int) -> tuple[Hypergraph, list[int
     """
     if n < r:
         raise ValueError(f"no surjective coloring exists for n={n} < r={r}")
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
     if m > math.comb(n, r):
         raise ValueError(f"m={m} exceeds the {math.comb(n, r)} distinct r-subsets")
     rng = random.Random(seed)

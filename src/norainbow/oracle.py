@@ -114,17 +114,11 @@ def oracle_decide(hg: Hypergraph, budget: Optional[int] = None) -> OracleReport:
 
 def oracle_verify_certificate(hg: Hypergraph, coloring: list[int]) -> bool:
     """Definition-level certificate check, independent of the solver-side
-    predicates: the coloring maps into 1..r, each color appears on some
-    node, and no edge carries every color."""
+    predicates: the coloring's colors are exactly the palette 1..r (it maps
+    into 1..r and uses every color), and no edge's colors are the palette."""
     if len(coloring) != hg.n:
         raise ValueError(f"certificate length {len(coloring)} != n={hg.n}")
-    for c in coloring:
-        if not 1 <= c <= hg.r:
-            return False
-    for color in range(1, hg.r + 1):
-        if not any(coloring[v] == color for v in range(hg.n)):
-            return False
-    for e in hg.edges:
-        if all(any(coloring[v] == color for v in e) for color in range(1, hg.r + 1)):
-            return False
-    return True
+    palette = set(range(1, hg.r + 1))
+    if set(coloring) != palette:
+        return False
+    return all({coloring[v] for v in e} != palette for e in hg.edges)

@@ -75,6 +75,39 @@ def first_root_certificate(hg: Hypergraph) -> Optional[list[int]]:
     return None
 
 
+def reference_det_search(
+    hg: Hypergraph, subset: tuple[int, ...], b: int, radius: int
+) -> tuple[Optional[list[int]], list[tuple[int, list[int], list[bool]]]]:
+    """det's search from the start (subset, b) on the plain predicates
+    above, every node evaluated afresh. Returns (certificate or None, trace),
+    the trace holding a (depth, coloring, frozen flags) snapshot per node in
+    preorder."""
+    coloring, frozen, trace = [b] * hg.n, set(subset), []
+    for color, v in enumerate(sorted(subset), start=1):
+        coloring[v] = color
+
+    def search(budget: int, depth: int) -> Optional[list[int]]:
+        trace.append((depth, list(coloring), [v in frozen for v in range(hg.n)]))
+        if first_rainbow_edge(hg, coloring) is None:
+            return list(coloring)
+        if budget == 0 or has_fully_frozen_rainbow(hg, coloring, frozen):
+            return None
+        _, v = select_branch_edge(hg, coloring, frozen)
+        old = coloring[v]
+        frozen.add(v)
+        for color in range(1, hg.r + 1):
+            if color != old:
+                coloring[v] = color
+                found = search(budget - 1, depth + 1)
+                if found is not None:
+                    return found
+        coloring[v] = old
+        frozen.discard(v)
+        return None
+
+    return search(radius, 0), trace
+
+
 def reference_walk(
     hg: Hypergraph, coloring: list[int], frozen: set[int], choices: Iterable[tuple[int, int]]
 ) -> tuple[Optional[list[int]], int]:

@@ -120,6 +120,19 @@ def test_gen_planted_embeds_witness(capsys, tmp_path):
     assert oracle_verify_certificate(hg, witness)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "planted", "--n", "5", "--r", "3", "--m", "-1"], "m must be >= 0, got -1"),
+        (["gen", "random", "--n", "5", "--r", "3", "--m", "-1"], "m must be >= 0, got -1"),
+        (["bench", "planted:n=5,r=3,m=-2"], "m must be >= 0, got -2"),
+        (["bench", "random:n=5,r=3,m=-2"], "m must be >= 0, got -2"),
+    ],
+)
+def test_negative_edge_count_is_an_error(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 def test_verify_command(capsys, tmp_path, planted):
     code, out, _ = run_cli(capsys, "solve", planted)
     cert = tmp_path / "cert.txt"

@@ -20,7 +20,7 @@ from norainbow.det_solver import initial_pair_count
 from norainbow.instances import gen_complete, gen_planted, gen_random
 from norainbow.oracle import oracle_decide, oracle_verify_certificate
 
-from reference import first_root_certificate, hamming
+from reference import first_root_certificate, hamming, reference_det_search
 from strategies import hypergraphs
 
 # gen_random(6, 12, 3, 6) is NOT_COLORABLE and forces real branching
@@ -151,6 +151,33 @@ def test_unsat_standard_nodes_have_r_minus_1_children():
                 children[stack[-1]] += 1
             stack.append(i)
         assert set(children) <= {0, hg.r - 1}
+
+
+@pytest.mark.parametrize(
+    "hg",
+    [
+        gen_random(6, 9, 2, 3),
+        BRANCHY_UNSAT,
+        gen_random(7, 18, 3, 2),
+        gen_random(8, 40, 4, 1),
+        gen_random(8, 30, 5, 2),
+        # 70 colors: wider than any int64 bit mask over the colors
+        Hypergraph(71, 70, (tuple(range(70)), tuple(range(1, 71)))),
+    ],
+    ids=["r2", "r3-branchy", "r3", "r4", "r5", "r70"],
+)
+def test_local_search_matches_reference_search(hg):
+    # the carried per-color edge sets pick the same node, branch and exit at
+    # every search node as a search that re-evaluates each node from scratch
+    g = search_radius(hg.n, hg.r)
+    for subset, b in enumerate_initial_pairs(hg):
+        certificate, expected = reference_det_search(hg, subset, b, g)
+        trace = []
+        out = local_search(hg, subset, b, g, trace=lambda d, c, f: trace.append((d, list(c), list(f))))
+        assert trace == expected, (subset, b)
+        assert out.certificate == certificate
+        assert out.decision == (NOT_COLORABLE if certificate is None else COLORABLE)
+        assert out.stats.recursion_nodes == len(expected)
 
 
 def test_det_nrc_degenerate_inputs():

@@ -1,9 +1,8 @@
 import itertools
-import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from norainbow import (
@@ -15,7 +14,6 @@ from norainbow import (
     parse_instance,
     write_instance,
 )
-from norainbow.hypergraph import edge_bits
 from norainbow.instances import gen_complete, gen_random
 
 from reference import hamming, select_branch_edge
@@ -40,6 +38,22 @@ def test_bad_edges_rejected():
         Hypergraph(3, 3, ((0, 1, 1),))
     with pytest.raises(ValueError):
         Hypergraph(3, 1, ())
+
+
+def _shift_incidence(hg):
+    inc = [0] * hg.n
+    for i, e in enumerate(hg.edges):
+        for v in e:
+            inc[v] |= 1 << i
+    return tuple(inc)
+
+
+@pytest.mark.parametrize(
+    "n, m, r, seed", [(0, 0, 3, 0), (5, 0, 3, 0), (6, 7, 3, 1), (9, 8, 3, 2), (12, 61, 4, 3), (40, 999, 3, 4)]
+)
+def test_incidence_matches_shift_build(n, m, r, seed):
+    hg = gen_random(n, m, r, seed)
+    assert hg.incidence == _shift_incidence(hg)
 
 
 # --- parse / write ----------------------------------------------------------
@@ -209,57 +223,3 @@ def test_select_branch_edge_lowest_index():
     # edge 0 is not rainbow; edges 1 and 2 both qualify; the lowest wins
     got = select_branch_edge(hg, coloring, frozen)
     assert got == (1, 4)
-
-
-# --- per-node evaluation ----------------------------------------------------
-
-
-def _naive_bits(hg, coloring, frozen):
-    rainbow = free = free2 = 0
-    for i, e in enumerate(hg.edges):
-        unfrozen = sum(v not in frozen for v in e)
-        rainbow |= (len({coloring[v] for v in e}) == hg.r) << i
-        free |= (unfrozen >= 1) << i
-        free2 |= (unfrozen >= 2) << i
-    return rainbow, free, free2
-
-
-def _state(hg, coloring, frozen):
-    return list(coloring), [v in frozen for v in range(hg.n)]
-
-
-@settings(max_examples=200)
-@given(colored_hypergraphs(max_r=5), st.randoms(use_true_random=False))
-def test_edge_bits_match_naive_recount(pair, rng):
-    hg, coloring = pair
-    frozen = set(rng.sample(range(hg.n), rng.randint(0, hg.n)))
-    assert edge_bits(hg, *_state(hg, coloring, frozen)) == _naive_bits(hg, coloring, frozen)
-
-
-def test_edge_bits_beyond_int64_color_bits():
-    # 70 colors would overflow an int64 bit mask over the colors
-    hg = Hypergraph(71, 70, (tuple(range(70)), tuple(range(1, 71))))
-    coloring = list(range(1, 71)) + [1]
-    frozen = set(range(0, 71, 2))
-    got = edge_bits(hg, *_state(hg, coloring, frozen))
-    assert got == _naive_bits(hg, coloring, frozen) == (0b11, 0b11, 0b11)
-
-
-def test_lowest_branch_bit_matches_pure_function():
-    # the unfrozen node of the lowest rainbow edge with exactly one unfrozen
-    # node is the branch node both solvers take
-    rng = random.Random(5)
-    for _ in range(200):
-        r = rng.choice([3, 4])
-        n = rng.randint(r, 8)
-        hg = gen_random(n, rng.randint(0, min(8, math.comb(n, r))), r, rng.randrange(10**6))
-        coloring = [rng.randint(1, r) for _ in range(n)]
-        frozen = set(rng.sample(range(n), rng.randint(0, n)))
-        rainbow, free, free2 = edge_bits(hg, *_state(hg, coloring, frozen))
-        branch = rainbow & free & ~free2
-        got = None
-        if branch:
-            edge = hg.edges[(branch & -branch).bit_length() - 1]
-            got = next(v for v in edge if v not in frozen)
-        expected = select_branch_edge(hg, coloring, frozen)
-        assert got == (None if expected is None else expected[1])

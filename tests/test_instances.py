@@ -38,6 +38,14 @@ def test_random_m_too_large():
         gen_random(4, 5, 3, 0)
 
 
+@pytest.mark.parametrize("n", [5, 200])  # sampled by enumeration, and by rejection
+def test_negative_m_rejected(n):
+    with pytest.raises(ValueError, match="^m must be >= 0, got -1$"):
+        gen_random(n, -1, 3, 0)
+    with pytest.raises(ValueError, match="^m must be >= 0, got -1$"):
+        gen_planted(n, -1, 3, 0)
+
+
 def test_planted_witness_always_verifies():
     for seed in range(25):
         hg, witness = gen_planted(9, 14, 3, seed)

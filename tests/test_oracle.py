@@ -4,6 +4,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from norainbow import Hypergraph, is_no_rainbow_coloring, oracle
 from norainbow.hypergraph import COLORABLE, NOT_COLORABLE
@@ -16,7 +17,7 @@ from norainbow.oracle import (
     resolve_budget,
 )
 
-from strategies import colored_hypergraphs
+from strategies import colored_hypergraphs, hypergraphs
 
 
 def naive_count(hg):
@@ -144,6 +145,7 @@ def test_verify_certificate_basics():
     assert not oracle_verify_certificate(hg, [1, 2, 2])
     assert not oracle_verify_certificate(Hypergraph(4, 3, ((0, 1, 2),)), [1, 2, 3, 1])
     assert not oracle_verify_certificate(hg, [1, 2, 7])
+    assert not oracle_verify_certificate(hg, [0, 2, 3])
     with pytest.raises(ValueError):
         oracle_verify_certificate(hg, [1, 2])
 
@@ -151,5 +153,15 @@ def test_verify_certificate_basics():
 @settings(max_examples=150)
 @given(colored_hypergraphs())
 def test_verify_agrees_with_solver_side_predicate(pair):
+    hg, coloring = pair
+    assert oracle_verify_certificate(hg, coloring) == is_no_rainbow_coloring(hg, coloring)
+
+
+@settings(max_examples=200)
+@given(hypergraphs(max_r=5).flatmap(
+    lambda hg: st.tuples(st.just(hg), st.lists(st.integers(0, hg.r + 1), min_size=hg.n, max_size=hg.n))
+))
+def test_verify_agrees_beyond_the_palette(pair):
+    # colors 0 and r+1 fall outside the palette, and most draws miss a color
     hg, coloring = pair
     assert oracle_verify_certificate(hg, coloring) == is_no_rainbow_coloring(hg, coloring)

@@ -1,5 +1,6 @@
 """Smoke tests: each experiment script under scripts/ runs to completion on a
 tiny input, so a renamed or removed package function breaks the suite."""
+import csv
 import subprocess
 import sys
 from pathlib import Path
@@ -22,3 +23,15 @@ def test_script_runs(tmp_path, script, args):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+def test_scaling_bench_reports_us_per_node(tmp_path):
+    args = ["--r", "3", "--n-min", "5", "--n-max", "5", "--per-n", "2", "-o", "scaling.csv"]
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "scaling_bench.py"), *args], cwd=tmp_path, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    with open(tmp_path / "scaling.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 2
+    assert all(float(row["us_per_node"]) > 0 for row in rows)
