@@ -6,7 +6,8 @@ density m = round(density * n), solves each with det_nrc (and the oracle
 when it fits the budget), and reports mean search-tree size against the
 worst-case bound sum_i (r-1)^i with g = floor((r-1)n/r). Emits one CSV row
 per instance, with the time per search node (us_per_node) beside the node
-counts.
+counts and the starts searched beside det's start set, C(n-1, r-1) * r
+(start_bound), which an uncolorable instance searches in full.
 
 Example:
     python scripts/scaling_bench.py --r 3 --n-min 6 --n-max 14 --per-n 10 -o scaling.csv
@@ -21,6 +22,7 @@ import sys
 import time
 
 from norainbow import det_nrc, search_radius
+from norainbow.det_solver import start_count
 from norainbow.instances import gen_random
 from norainbow.oracle import oracle_decide, resolve_budget
 
@@ -37,7 +39,7 @@ def main() -> int:
     args = ap.parse_args()
 
     rows = [["n", "m", "r", "seed", "decision", "recursion_nodes", "max_start_nodes",
-             "starts", "per_start_bound", "elapsed_ms", "us_per_node", "oracle_agrees"]]
+             "starts", "start_bound", "per_start_bound", "elapsed_ms", "us_per_node", "oracle_agrees"]]
     print(f"{'n':>3} {'m':>4} {'mean nodes':>12} {'max start':>10} {'start bound':>12} {'mean ms':>9}")
     for n in range(args.n_min, args.n_max + 1):
         m = min(round(args.density * n), math.comb(n, args.r))
@@ -59,7 +61,7 @@ def main() -> int:
             times.append(dt)
             rows.append(
                 [n, m, args.r, seed, out.decision, out.stats.recursion_nodes,
-                 out.stats.max_start_nodes, out.stats.trials, bound, f"{dt:.3f}",
+                 out.stats.max_start_nodes, out.stats.trials, start_count(n, args.r), bound, f"{dt:.3f}",
                  f"{dt * 1000 / out.stats.recursion_nodes:.3f}", agrees]
             )
         print(

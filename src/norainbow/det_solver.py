@@ -9,8 +9,9 @@ radius bound keeps each start's tree at most (r-1)-ary of bounded depth.
 Recolored nodes never return to b, so the search carries per-color edge
 bit sets down the tree: O(r) bit set operations per node, whatever n.
 
-det_nrc first tests every start's root alone, counting only a root that
-certifies, and searches every start at the full radius if none does.
+det_nrc searches only the starts whose subset holds node 0: a witness
+relabelled by its class minima is reached from one of them. It tests each
+one's root alone, then searches them all at the full radius if none certifies.
 """
 from __future__ import annotations
 
@@ -45,7 +46,8 @@ def search_radius(n: int, r: int) -> int:
 def enumerate_initial_pairs(hg: Hypergraph) -> Iterator[tuple[tuple[int, ...], int]]:
     """Yield every start as (subset, b): each r-subset F in ascending order,
     and for each, each background color b in 1..r. Exactly C(n, r) * r
-    starts."""
+    starts, of which det_nrc searches only the first start_count(n, r):
+    the subsets that hold node 0 come first in this order."""
     if hg.n < hg.r:
         raise ValueError(f"no surjective start exists for n={hg.n} < r={hg.r}")
     for subset in itertools.combinations(range(hg.n), hg.r):
@@ -53,8 +55,12 @@ def enumerate_initial_pairs(hg: Hypergraph) -> Iterator[tuple[tuple[int, ...], i
             yield subset, b
 
 
-def initial_pair_count(n: int, r: int) -> int:
-    return math.comb(n, r) * r
+def start_count(n: int, r: int) -> int:
+    """C(n-1, r-1) * r: the starts at the head of enumerate_initial_pairs
+    whose subset holds node 0. Relabel a witness so that its class minima
+    carry 1..r in node order and let b be its largest class's color; node 0
+    is a class minimum, and the search from (minima, b) certifies."""
+    return math.comb(n - 1, r - 1) * r
 
 
 def local_search(
@@ -157,10 +163,13 @@ def _search(
 
 
 def det_nrc(hg: Hypergraph, workers: int = 1) -> SearchOutcome:
-    """Decide no-rainbow r-colorability in two passes over the (subset, b)
-    starts, stopping at the first certified success: every start's root
-    alone (in-process, counted as one node and one trial if it certifies),
-    then every start at the full search radius.
+    """Decide no-rainbow r-colorability in two passes over the first
+    start_count(n, r) (subset, b) starts, stopping at the first certified
+    success: each start's root alone (in-process, counted as one node and
+    one trial if it certifies), then each start at the full search radius.
+    Those starts hold node 0 in their subset, and every witness relabelled by
+    its class minima is reached from one; so either pass stops where a pass
+    over every start would.
 
     n < r admits no surjective coloring, so the answer is immediate. With
     workers > 1 the second pass runs in parallel chunks; the decision is
@@ -174,7 +183,7 @@ def det_nrc(hg: Hypergraph, workers: int = 1) -> SearchOutcome:
     if hg.n >= hg.r:
         certificate = _root_certificate(hg, stats)
         if certificate is None:
-            certificate = search_ranges(hg, _det_range, initial_pair_count(hg.n, hg.r), workers, stats)
+            certificate = search_ranges(hg, _det_range, start_count(hg.n, hg.r), workers, stats)
     stats.elapsed = time.perf_counter() - t0
     if certificate is None:
         return SearchOutcome(NOT_COLORABLE, None, stats)
@@ -182,11 +191,13 @@ def det_nrc(hg: Hypergraph, workers: int = 1) -> SearchOutcome:
 
 
 def _root_certificate(hg: Hypergraph, stats: SearchStats) -> Optional[list[int]]:
-    """The first start's root coloring with no rainbow edge, counted in stats
-    as local_search counts it, or None. Only the subset's r-1 nodes not
-    colored b differ from b, so a rainbow edge must contain all of them."""
+    """The first root coloring with no rainbow edge, counted in stats as
+    local_search counts it, or None. Relabelled by its class minima, a root
+    is the root of a start whose subset holds node 0, so the first
+    start_count(n, r) starts suffice. Only the subset's r-1 nodes not colored
+    b differ from b, so a rainbow edge must contain all of them."""
     inc = hg.incidence
-    for subset, b in enumerate_initial_pairs(hg):
+    for subset, b in itertools.islice(enumerate_initial_pairs(hg), start_count(hg.n, hg.r)):
         if not functools.reduce(operator.and_, [inc[v] for c, v in enumerate(subset, 1) if c != b]):
             coloring = [b] * hg.n
             for color, v in enumerate(subset, 1):

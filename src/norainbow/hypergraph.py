@@ -71,8 +71,9 @@ class Hypergraph:
 class SearchStats:
     """Work counters for one solver run.
 
-    trials counts the starts searched: det's full-radius starts, or the one
-    root of its sweep that certifies; for rand, all C(n, r) subsets of every
+    trials counts the starts searched: det's full-radius starts, all in its
+    prefix of starts whose subset holds node 0, or the one root of its
+    sweep that certifies; for rand, all C(n, r) subsets of every
     round run (its walks and the subsets that are edges). recursion_nodes
     counts det's search-tree nodes (1 for that root) and the state
     evaluations of every rand walk of every round run, max_start_nodes the

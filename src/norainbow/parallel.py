@@ -8,6 +8,7 @@ chunks over a process pool and stops every worker at the first certificate.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from typing import Callable, Optional
 
 from .hypergraph import Hypergraph, SearchStats, is_no_rainbow_coloring
@@ -21,7 +22,8 @@ def search_ranges(
     """Search starts 0..total-1 with range_fn and return the first
     certificate found, or None. range_fn must be picklable when workers > 1.
 
-    With several workers the range is cut into at most 4 * workers chunks.
+    With several workers the range is cut into at most 4 * workers chunks,
+    run by a pool of at most as many processes as this process has CPUs.
     Leaving the pool at the first certificate terminates the chunks still
     running, so stats then count only the chunks that finished.
     """
@@ -30,7 +32,7 @@ def search_ranges(
     step = -(-total // max(1, min(4 * workers, total)))
     tasks = [(range_fn, hg, lo, min(lo + step, total)) for lo in range(0, total, step)]
     certificate = None
-    with multiprocessing.get_context("spawn").Pool(min(workers, len(tasks))) as pool:
+    with multiprocessing.get_context("spawn").Pool(min(workers, len(tasks), _usable_cpus())) as pool:
         for found, chunk_stats in pool.imap_unordered(_run_chunk, tasks):
             stats.absorb(chunk_stats)
             if found is not None:
@@ -39,6 +41,10 @@ def search_ranges(
     if certificate is not None and not is_no_rainbow_coloring(hg, certificate):
         raise RuntimeError("internal error: parallel search returned an invalid certificate")
     return certificate
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _run_chunk(task) -> tuple[Optional[list[int]], SearchStats]:

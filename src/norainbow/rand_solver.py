@@ -18,7 +18,7 @@ import itertools
 import math
 import time
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -158,26 +158,6 @@ def _checked_starts(hg: Hypergraph, colors, frozen) -> tuple[np.ndarray, np.ndar
         has = sorted(set(colors[missing[0]][frozen[missing[0]]].tolist()))
         raise ValueError(f"frozen set must witness every color 1..{hg.r}, has {has}")
     return colors, frozen
-
-
-def rand_local_search(
-    hg: Hypergraph, coloring: list[int], frozen: Iterable[int], rng: np.random.Generator
-) -> SearchOutcome:
-    """One random repair walk from coloring with the r nodes in frozen
-    frozen: lockstep_walks on a batch of this one start."""
-    nodes = sorted(set(frozen))
-    if nodes and not 0 <= nodes[0] <= nodes[-1] < hg.n:
-        raise ValueError(f"frozen node outside 0..{hg.n - 1}: {nodes}")
-    t0 = time.perf_counter()
-    mask = np.zeros((1, hg.n), dtype=bool)
-    mask[0, nodes] = True
-    walks = lockstep_walks(hg, [coloring], mask, rng)
-    evaluations = int(walks.evaluations[0])
-    stats = SearchStats(recursion_nodes=evaluations, trials=1, max_start_nodes=evaluations)
-    stats.elapsed = time.perf_counter() - t0
-    if not walks.certified[0]:
-        return SearchOutcome(NOT_COLORABLE, None, stats)
-    return SearchOutcome(COLORABLE, _verified(hg, walks.colors[0].tolist()), stats)
 
 
 def _verified(hg: Hypergraph, certificate: list[int]) -> list[int]:

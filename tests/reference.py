@@ -1,12 +1,24 @@
-"""Plain reference predicates that tests compare the package against, and
-the witness-aligned walk starts of the success-rate tests."""
+"""Plain reference predicates that tests compare the package against, the
+class-minimum start set det searches, the one-start walk, and the
+witness-aligned walk starts of the success-rate tests."""
 from __future__ import annotations
 
 from typing import Iterable, Optional
 
 import numpy as np
 
-from norainbow import Hypergraph, enumerate_initial_pairs, first_rainbow_edge, is_rainbow_edge
+from norainbow import (
+    COLORABLE,
+    NOT_COLORABLE,
+    Hypergraph,
+    SearchOutcome,
+    SearchStats,
+    enumerate_initial_pairs,
+    first_rainbow_edge,
+    is_no_rainbow_coloring,
+    is_rainbow_edge,
+    lockstep_walks,
+)
 
 
 def hamming(a: list[int], b: list[int]) -> int:
@@ -75,6 +87,12 @@ def first_root_certificate(hg: Hypergraph) -> Optional[list[int]]:
     return None
 
 
+def class_minimum_starts(hg: Hypergraph) -> list[tuple[tuple[int, ...], int]]:
+    """The starts of enumerate_initial_pairs whose subset holds node 0, in
+    order: the ones whose subset can be the class minima of a coloring."""
+    return [(subset, b) for subset, b in enumerate_initial_pairs(hg) if subset[0] == 0]
+
+
 def reference_det_search(
     hg: Hypergraph, subset: tuple[int, ...], b: int, radius: int
 ) -> tuple[Optional[list[int]], list[tuple[int, list[int], list[bool]]]]:
@@ -132,6 +150,23 @@ def reference_walk(
         colors[v] = draw + (draw >= colors[v])
         frozen.add(v)
     raise AssertionError("walk outlived n - r + 1 evaluations")
+
+
+def rand_local_search(
+    hg: Hypergraph, coloring: list[int], frozen: Iterable[int], rng: np.random.Generator
+) -> SearchOutcome:
+    """One random repair walk from coloring with the r nodes in frozen
+    frozen: lockstep_walks on a batch of this one start."""
+    mask = np.zeros((1, hg.n), dtype=bool)
+    mask[0, sorted(set(frozen))] = True
+    walks = lockstep_walks(hg, [coloring], mask, rng)
+    evaluations = int(walks.evaluations[0])
+    stats = SearchStats(recursion_nodes=evaluations, trials=1, max_start_nodes=evaluations)
+    if not walks.certified[0]:
+        return SearchOutcome(NOT_COLORABLE, None, stats)
+    certificate = walks.colors[0].tolist()
+    assert is_no_rainbow_coloring(hg, certificate)
+    return SearchOutcome(COLORABLE, certificate, stats)
 
 
 def witness_aligned_starts(

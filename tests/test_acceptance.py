@@ -20,7 +20,6 @@ from norainbow import (
     enumerate_initial_pairs,
     is_no_rainbow_coloring,
     lockstep_walks,
-    rand_local_search,
     rand_nrc,
     search_radius,
     write_instance,
@@ -28,7 +27,7 @@ from norainbow import (
 from norainbow.instances import gen_complete, gen_planted, gen_random
 from norainbow.oracle import oracle_decide, oracle_verify_certificate
 
-from reference import completion_exit, witness_aligned_starts
+from reference import completion_exit, rand_local_search, witness_aligned_starts
 
 
 def _report(name: str, ok: bool, detail: str) -> None:

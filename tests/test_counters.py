@@ -6,10 +6,11 @@ recursion_nodes and trials. A change that restructures or speeds up a
 search without changing what it searches must leave all of them identical;
 seeded rand runs must also keep every random draw in the same order.
 
-det_nrc first sweeps every start's root and only then searches every start
-at the full radius, so a colorable instance with a root certificate pins
-that certificate with 1 node and 1 trial (planted, fallback), while an
-uncolorable one pins the full pass alone.
+det_nrc searches only the C(n-1, r-1) * r starts whose subset holds node
+0. It first sweeps their roots and only then searches them at the full
+radius, so a colorable instance with a root certificate pins that
+certificate with 1 node and 1 trial (planted, fallback), while an
+uncolorable one pins the full pass alone, over those starts.
 
 rand_nrc runs every walk of a round to its exit and counts all C(n, r)
 subsets of each round it runs as trials, so its trials are a multiple of
@@ -36,9 +37,9 @@ INSTANCES = {
 
 # instance -> (decision, certificate, recursion_nodes, trials)
 DET = {
-    "branchy": (NOT_COLORABLE, None, 166, 60),
+    "branchy": (NOT_COLORABLE, None, 68, 30),
     "planted": (COLORABLE, "12111131", 1, 1),
-    "complete73": (NOT_COLORABLE, None, 105, 105),
+    "complete73": (NOT_COLORABLE, None, 45, 45),
     "fallback": (COLORABLE, "123111", 1, 1),
 }
 

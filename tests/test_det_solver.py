@@ -1,3 +1,4 @@
+import itertools
 import math
 import multiprocessing
 import random
@@ -16,11 +17,11 @@ from norainbow import (
     local_search,
     search_radius,
 )
-from norainbow.det_solver import initial_pair_count
+from norainbow.det_solver import start_count
 from norainbow.instances import gen_complete, gen_planted, gen_random
 from norainbow.oracle import oracle_decide, oracle_verify_certificate
 
-from reference import first_root_certificate, hamming, reference_det_search
+from reference import class_minimum_starts, first_root_certificate, hamming, reference_det_search
 from strategies import hypergraphs
 
 # gen_random(6, 12, 3, 6) is NOT_COLORABLE and forces real branching
@@ -227,7 +228,7 @@ def test_det_certificates_verify(hg):
     out = det_nrc(hg)
     if out.colorable:
         assert oracle_verify_certificate(hg, out.certificate)
-    assert out.stats.trials <= initial_pair_count(hg.n, hg.r) if hg.n >= hg.r else True
+    assert out.stats.trials <= start_count(hg.n, hg.r) if hg.n >= hg.r else True
 
 
 def _counts(outcome):
@@ -283,26 +284,51 @@ def test_det_returns_the_first_root_certificate():
     assert found >= 200
 
 
-def test_det_without_root_certificate_runs_the_full_pass_unchanged():
-    # with no root certificate, det_nrc is the plain pass over every start
-    # at the full radius: same decision, certificate and counters
-    missed = 0
+def _plain_det(hg, starts):
+    """det's two passes on a plain loop over starts: the first root with no
+    rainbow edge as 1 node and 1 trial, else local_search from each start
+    at the full radius up to the first certificate."""
+    for subset, b in starts:
+        coloring = [b] * hg.n
+        for color, v in enumerate(subset, start=1):
+            coloring[v] = color
+        if is_no_rainbow_coloring(hg, coloring):
+            return COLORABLE, coloring, 1, 1, 1
+    stats = SearchStats()
+    for start in starts:
+        outcome = local_search(hg, *start, search_radius(hg.n, hg.r))
+        stats.absorb(outcome.stats)
+        if outcome.colorable:
+            return COLORABLE, outcome.certificate, stats.recursion_nodes, stats.trials, stats.max_start_nodes
+    return NOT_COLORABLE, None, stats.recursion_nodes, stats.trials, stats.max_start_nodes
+
+
+def test_class_minimum_starts_are_the_head_of_the_order():
+    for r in range(2, 6):
+        for n in range(r, 11):
+            hg = Hypergraph(n, r)
+            prefix = class_minimum_starts(hg)
+            assert len(prefix) == start_count(n, r) == math.comb(n - 1, r - 1) * r
+            assert prefix == list(itertools.islice(enumerate_initial_pairs(hg), start_count(n, r)))
+
+
+def test_det_is_the_plain_pass_over_class_minimum_starts():
+    # every counter of det_nrc is the plain loop's over the starts whose
+    # subset holds node 0; on colorable instances the loop over every
+    # start stops inside them, so det_nrc is that loop's too. A verified
+    # certificate is the oracle's COLORABLE, so only refutations re-count
+    colorable = uncolorable = 0
     for hg in _root_sweep_corpus():
-        if first_root_certificate(hg) is not None:
-            continue
-        missed += 1
-        full = SearchStats()
-        certificate = None
-        for start in enumerate_initial_pairs(hg):
-            outcome = local_search(hg, *start, search_radius(hg.n, hg.r))
-            full.absorb(outcome.stats)
-            if outcome.colorable:
-                certificate = outcome.certificate
-                break
-        decision = NOT_COLORABLE if certificate is None else COLORABLE
-        expected = decision, certificate, full.recursion_nodes, full.trials, full.max_start_nodes
-        assert _counts(det_nrc(hg)) == expected
-    assert missed >= 100
+        got = _counts(det_nrc(hg))
+        assert got == _plain_det(hg, class_minimum_starts(hg))
+        if got[0] == COLORABLE:
+            colorable += 1
+            assert oracle_verify_certificate(hg, got[1])
+            assert got == _plain_det(hg, list(enumerate_initial_pairs(hg)))
+        else:
+            uncolorable += 1
+            assert oracle_decide(hg).decision == NOT_COLORABLE
+    assert colorable >= 200 and uncolorable >= 20
 
 
 def test_det_former_n200_hang_certifies_at_a_root():

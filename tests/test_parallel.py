@@ -1,6 +1,7 @@
+import multiprocessing
 import time
 
-from norainbow import Hypergraph, SearchStats
+from norainbow import Hypergraph, SearchStats, parallel
 from norainbow.parallel import search_ranges
 
 
@@ -17,3 +18,49 @@ def test_first_certificate_stops_running_chunks():
     certificate = search_ranges(Hypergraph(3, 3), slow_first_chunk, 2, 2, SearchStats())
     assert certificate == [1, 2, 3]
     assert time.perf_counter() - t0 < 10
+
+
+class _InProcessPool:
+    """Stands in for a process pool: records its size and its number of
+    chunks, and runs each chunk in this process."""
+
+    sizes = []
+    chunks = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap_unordered(self, fn, tasks):
+        self.chunks.append(len(tasks))
+        return map(fn, tasks)
+
+
+class _InProcessContext:
+    Pool = _InProcessPool
+
+
+def _count_starts(hg, lo, hi, stats):
+    stats.trials += hi - lo
+    return None
+
+
+def test_pool_size_capped_at_usable_cpus(monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: _InProcessContext)
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 3)
+    _InProcessPool.sizes.clear()
+    _InProcessPool.chunks.clear()
+    stats = SearchStats()
+    assert search_ranges(Hypergraph(3, 3), _count_starts, 1000, 100_000, stats) is None
+    # one chunk per start, as 4 * workers chunks ask, on a pool of 3 processes
+    assert stats.trials == 1000
+    assert (_InProcessPool.sizes, _InProcessPool.chunks) == ([3], [1000])
+    # fewer chunks than CPUs still size the pool by the chunks
+    search_ranges(Hypergraph(3, 3), _count_starts, 2, 100_000, SearchStats())
+    assert _InProcessPool.sizes == [3, 2]
+

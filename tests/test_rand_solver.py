@@ -16,7 +16,6 @@ from norainbow import (
     first_rainbow_edge,
     is_no_rainbow_coloring,
     lockstep_walks,
-    rand_local_search,
     rand_nrc,
     rand_solver,
     trial_count,
@@ -28,6 +27,7 @@ from reference import (
     completion_exit,
     fallback_edge,
     has_fully_frozen_rainbow,
+    rand_local_search,
     reference_walk,
     select_branch_edge,
     witness_aligned_starts,

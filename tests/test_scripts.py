@@ -35,3 +35,8 @@ def test_scaling_bench_reports_us_per_node(tmp_path):
         rows = list(csv.DictReader(f))
     assert len(rows) == 2
     assert all(float(row["us_per_node"]) > 0 for row in rows)
+    # m = 10 at n = 5 is the complete 3-graph: uncolorable, so det searches
+    # its whole start set
+    assert "start_bound" in rows[0]
+    assert all(row["decision"] == "NOT_COLORABLE" for row in rows)
+    assert all(row["starts"] == row["start_bound"] for row in rows)
