@@ -331,6 +331,30 @@ def test_det_is_the_plain_pass_over_class_minimum_starts():
     assert colorable >= 200 and uncolorable >= 20
 
 
+def _dense_colorable_corpus():
+    """100 seeded colorable instances, r 2-5 and n <= 10: a random surjective
+    coloring, and each r-subset it leaves non-rainbow as an edge with
+    probability 0.7. About half have no root certificate."""
+    rng = random.Random(11)
+    for _ in range(100):
+        r = rng.randint(2, 5)
+        n = rng.randint(r + 1, 10)
+        witness = list(range(1, r + 1)) + [rng.randint(1, r) for _ in range(n - r)]
+        rng.shuffle(witness)
+        subsets = itertools.combinations(range(n), r)
+        yield Hypergraph(n, r, tuple(e for e in subsets if len({witness[v] for v in e}) < r and rng.random() < 0.7))
+
+
+def test_det_colorable_full_pass_stops_inside_class_minimum_starts():
+    full_pass = 0
+    for hg in _dense_colorable_corpus():
+        got = _counts(det_nrc(hg))
+        assert got[0] == COLORABLE and oracle_verify_certificate(hg, got[1])
+        assert got == _plain_det(hg, list(enumerate_initial_pairs(hg)))
+        full_pass += first_root_certificate(hg) is None
+    assert full_pass >= 40
+
+
 def test_det_former_n200_hang_certifies_at_a_root():
     # the full-radius pass alone gives no answer here in 10 minutes; start 51's root certifies
     hg = gen_random(200, 20000, 3, 1)
