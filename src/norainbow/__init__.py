@@ -10,10 +10,8 @@ from .hypergraph import (
     ParseError,
     SearchOutcome,
     SearchStats,
-    first_rainbow_edge,
     format_certificate,
     is_no_rainbow_coloring,
-    is_rainbow_edge,
     parse_certificate,
     parse_instance,
     write_instance,

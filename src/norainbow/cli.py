@@ -13,13 +13,14 @@ import io
 import sys
 import time
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from .det_solver import det_nrc
 from .hypergraph import (
     COLORABLE,
     Hypergraph,
     ParseError,
+    SearchStats,
     format_certificate,
     parse_certificate,
     parse_instance,
@@ -29,11 +30,9 @@ from .instances import InstanceSpec, planted_comment
 from .oracle import oracle_decide, oracle_verify_certificate
 from .rand_solver import DEFAULT_TRIAL_CAP, rand_nrc
 
-EXIT_COLORABLE = 10
-EXIT_UNCOLORABLE = 20
-EXIT_DECISIVE = 30
-EXIT_NOT_DECISIVE = 31
+ALGOS = ("det", "rand", "oracle")
 EXIT_ERROR = 1
+EXIT_CODES = {"COLORABLE": 10, "UNCOLORABLE": 20, "DECISIVE": 30, "NOT-DECISIVE": 31}
 
 CSV_HEADER = [
     "instance",
@@ -63,51 +62,52 @@ def _write_output(text: str, out: Optional[str]) -> None:
         Path(out).write_text(text, newline="\n")
 
 
-def _solve_with(hg: Hypergraph, args) -> tuple[str, Optional[list[int]], object]:
-    """Run the chosen decider; returns (decision, certificate, stats)."""
-    if args.algo == "det":
+def _solve_with(hg: Hypergraph, algo: str, args, seed: int) -> tuple[str, Optional[list[int]], SearchStats]:
+    """Run one decider; returns (decision, certificate, stats). The oracle's
+    stats count every enumerated coloring as a node and each witness as a trial."""
+    if algo == "det":
         outcome = det_nrc(hg, workers=args.threads)
-        return outcome.decision, outcome.certificate, outcome.stats
-    if args.algo == "rand":
-        outcome = rand_nrc(hg, alpha=args.alpha, master_seed=args.seed, cap=args.trial_cap, workers=args.threads)
-        return outcome.decision, outcome.certificate, outcome.stats
-    report = oracle_decide(hg, budget=args.budget)
-    return report.decision, report.sample_witness, None
+    elif algo == "rand":
+        outcome = rand_nrc(hg, alpha=args.alpha, master_seed=seed, cap=args.trial_cap, workers=args.threads)
+    else:
+        t0 = time.perf_counter()
+        report = oracle_decide(hg, budget=args.budget)
+        elapsed = time.perf_counter() - t0
+        stats = SearchStats(recursion_nodes=hg.r**hg.n, trials=report.witness_count, elapsed=elapsed)
+        return report.decision, report.sample_witness, stats
+    return outcome.decision, outcome.certificate, outcome.stats
+
+
+def _answer(hg: Hypergraph, decision: str, certificate: Optional[list[int]], yes: str, no: str) -> int:
+    """Print `s <yes>` and the certificate when the decision is COLORABLE,
+    else `s <no>`, and return that answer's exit code. A certificate that
+    fails the independent check raises instead, before any `s` line."""
+    if decision != COLORABLE:
+        print(f"s {no}")
+        return EXIT_CODES[no]
+    if certificate is None or not oracle_verify_certificate(hg, certificate):
+        raise RuntimeError("certificate failed independent verification")
+    print(f"s {yes}")
+    print(format_certificate(certificate))
+    return EXIT_CODES[yes]
 
 
 def cmd_solve(args) -> int:
     hg = _read_instance(args.path)
-    decision, certificate, stats = _solve_with(hg, args)
-    if args.stats and stats is not None:
+    decision, certificate, stats = _solve_with(hg, args.algo, args, args.seed)
+    if args.stats and args.algo != "oracle":
         print(
             f"c stats nodes={stats.recursion_nodes} fallback={stats.fallback_nodes} "
             f"trials={stats.trials} ms={stats.elapsed * 1000:.3f}"
         )
-    if decision == COLORABLE:
-        if certificate is None or not oracle_verify_certificate(hg, certificate):
-            print("error: certificate failed independent verification", file=sys.stderr)
-            return EXIT_ERROR
-        print("s COLORABLE")
-        print(format_certificate(certificate))
-        return EXIT_COLORABLE
-    print("s UNCOLORABLE")
-    return EXIT_UNCOLORABLE
+    return _answer(hg, decision, certificate, "COLORABLE", "UNCOLORABLE")
 
 
 def cmd_oracle(args) -> int:
     hg = _read_instance(args.path)
-    report = oracle_decide(hg, budget=args.budget)
-    print(f"c witnesses {report.witness_count}")
-    if report.decision == COLORABLE:
-        assert report.sample_witness is not None
-        if not oracle_verify_certificate(hg, report.sample_witness):
-            print("error: certificate failed independent verification", file=sys.stderr)
-            return EXIT_ERROR
-        print("s COLORABLE")
-        print(format_certificate(report.sample_witness))
-        return EXIT_COLORABLE
-    print("s UNCOLORABLE")
-    return EXIT_UNCOLORABLE
+    decision, certificate, stats = _solve_with(hg, "oracle", args, 0)
+    print(f"c witnesses {stats.trials}")
+    return _answer(hg, decision, certificate, "COLORABLE", "UNCOLORABLE")
 
 
 def cmd_gen(args) -> int:
@@ -129,11 +129,9 @@ def cmd_verify(args) -> int:
             coloring = parse_certificate(line)
             break
     if coloring is None:
-        print("error: no 'v' certificate line found", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError("no 'v' certificate line found")
     if len(coloring) != hg.n:
-        print(f"error: certificate has {len(coloring)} colors, instance has {hg.n} nodes", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError(f"certificate has {len(coloring)} colors, instance has {hg.n} nodes")
     if oracle_verify_certificate(hg, coloring):
         print("s VALID")
         return 0
@@ -144,21 +142,11 @@ def cmd_verify(args) -> int:
 def cmd_decisive(args) -> int:
     hg = _read_instance(args.path)
     if hg.r != 4:
-        print(f"error: decisiveness needs a 4-uniform instance, got r={hg.r}", file=sys.stderr)
-        return EXIT_ERROR
-    decision, certificate, _ = _solve_with(hg, args)
-    if decision == COLORABLE:
-        assert certificate is not None
-        if not oracle_verify_certificate(hg, certificate):
-            print("error: certificate failed independent verification", file=sys.stderr)
-            return EXIT_ERROR
-        print("s NOT-DECISIVE")
-        print(format_certificate(certificate))
-        return EXIT_NOT_DECISIVE
-    if args.algo == "rand":
+        raise ValueError(f"decisiveness needs a 4-uniform instance, got r={hg.r}")
+    decision, certificate, _ = _solve_with(hg, args.algo, args, args.seed)
+    if decision != COLORABLE and args.algo == "rand":
         print("c note: randomized decider; DECISIVE is a one-sided claim")
-    print("s DECISIVE")
-    return EXIT_DECISIVE
+    return _answer(hg, decision, certificate, "NOT-DECISIVE", "DECISIVE")
 
 
 # ---------------------------------------------------------------------------
@@ -182,75 +170,48 @@ def expand_corpus_token(token: str) -> list[tuple[str, Hypergraph]]:
             raise ValueError(f"unknown corpus spec keys {sorted(unknown)} in {token!r}")
         if "n" not in fields or "r" not in fields:
             raise ValueError(f"corpus spec {token!r} needs at least n and r")
-        if ".." in fields["n"]:
-            lo, hi = fields["n"].split("..", 1)
-            n_values = range(int(lo), int(hi) + 1)
-            if not n_values:
-                raise ValueError(f"empty n range {fields['n']!r} in {token!r}")
-        else:
-            n_values = [int(fields["n"])]
+
+        def integer(key: str, text: str) -> int:
+            try:
+                return int(text)
+            except ValueError:
+                raise ValueError(f"non-integer {key} value {text!r} in {token!r}") from None
+
+        lo, dots, hi = fields["n"].partition("..")
+        n_values = range(integer("n", lo), integer("n", hi if dots else lo) + 1)
+        if not n_values:
+            raise ValueError(f"empty n range {fields['n']!r} in {token!r}")
+        r, m, seed = (integer(key, fields.get(key, "0")) for key in ("r", "m", "seed"))
         out = []
         for n in n_values:
-            spec = InstanceSpec(
-                family,
-                n,
-                int(fields["r"]),
-                int(fields.get("m", 0)),
-                int(fields.get("seed", 0)),
-            )
+            spec = InstanceSpec(family, n, r, m, seed)
             hg, _ = spec.generate()
             out.append((spec.instance_id(), hg))
         return out
     return [(token, _read_instance(token))]
 
 
-def _bench_row(instance_id, hg, algo, seed, alpha, args) -> list:
-    row = {
-        "instance": instance_id,
-        "n": hg.n,
-        "m": hg.m,
-        "r": hg.r,
-        "algo": algo,
-        "seed": seed,
-        "alpha": alpha if algo == "rand" else "",
-        "decision": "",
-        "recursion_nodes": "",
-        "trials": "",
-        "elapsed_ms": "",
-        "error": "",
-    }
+def _bench_row(instance_id: str, hg: Hypergraph, algo: str, seed: int, args) -> list:
     t0 = time.perf_counter()
     try:
-        if algo in ("det", "rand"):
-            if algo == "det":
-                outcome = det_nrc(hg, workers=args.threads)
-            else:
-                outcome = rand_nrc(hg, alpha=alpha, master_seed=seed, cap=args.trial_cap, workers=args.threads)
-            row["decision"] = outcome.decision
-            row["recursion_nodes"] = outcome.stats.recursion_nodes
-            row["trials"] = outcome.stats.trials
-            row["elapsed_ms"] = f"{outcome.stats.elapsed * 1000:.3f}"
-        elif algo == "oracle":
-            report = oracle_decide(hg, budget=args.budget)
-            row["decision"] = report.decision
-            row["recursion_nodes"] = hg.r**hg.n  # colorings enumerated
-            row["trials"] = report.witness_count
-            row["elapsed_ms"] = f"{(time.perf_counter() - t0) * 1000:.3f}"
-        else:
-            raise ValueError(f"unknown algo {algo!r}")
+        decision, _, stats = _solve_with(hg, algo, args, seed)
+        outcome = [decision, stats.recursion_nodes, stats.trials, f"{stats.elapsed * 1000:.3f}", ""]
     except (ValueError, RuntimeError) as exc:
-        row["error"] = str(exc)
-        row["elapsed_ms"] = f"{(time.perf_counter() - t0) * 1000:.3f}"
-    return [row[k] for k in CSV_HEADER]
+        outcome = ["", "", "", f"{(time.perf_counter() - t0) * 1000:.3f}", str(exc)]
+    return [instance_id, hg.n, hg.m, hg.r, algo, seed, args.alpha if algo == "rand" else "", *outcome]
 
 
 def cmd_bench(args) -> int:
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
+    if not algos:
+        raise ValueError(f"--algos {args.algos!r} names no algo; choose from det, rand, oracle")
     for algo in algos:
-        if algo not in {"det", "rand", "oracle"}:
+        if algo not in ALGOS:
             raise ValueError(f"unknown algo {algo!r}; choose from det, rand, oracle")
     if args.reps < 1:
         raise ValueError(f"--reps must be >= 1, got {args.reps}")
+    if args.threads < 1:
+        raise ValueError(f"workers must be >= 1, got {args.threads}")
     corpus: list[tuple[str, Hypergraph]] = []
     for token in args.corpus:
         corpus.extend(expand_corpus_token(token))
@@ -260,8 +221,7 @@ def cmd_bench(args) -> int:
     for instance_id, hg in corpus:
         for algo in algos:
             for rep in range(args.reps):
-                seed = args.seed + rep
-                writer.writerow(_bench_row(instance_id, hg, algo, seed, args.alpha, args))
+                writer.writerow(_bench_row(instance_id, hg, algo, args.seed + rep, args))
     _write_output(buf.getvalue(), args.output)
     return 0
 
@@ -270,13 +230,20 @@ def cmd_bench(args) -> int:
 # argument parsing
 
 
-def _add_solver_options(p: argparse.ArgumentParser, default_algo: str = "det") -> None:
-    p.add_argument("--algo", choices=["det", "rand", "oracle"], default=default_algo)
-    p.add_argument("--alpha", type=float, default=2.0, help="trial multiplier for rand (> 1)")
-    p.add_argument("--seed", type=int, default=0, help="master seed for rand")
-    p.add_argument("--threads", type=int, default=1, help="parallel workers (1 = reproducible stats)")
-    p.add_argument("--trial-cap", type=int, default=DEFAULT_TRIAL_CAP, help="refuse rand runs needing more trials")
-    p.add_argument("--budget", type=int, default=None, help="oracle enumeration budget (colorings)")
+# argparse keywords of each option a decider reads, in --help order
+SOLVER_OPTIONS = {
+    "--algo": dict(choices=ALGOS, default="det"),
+    "--alpha": dict(type=float, default=2.0, help="trial multiplier for rand (> 1)"),
+    "--seed": dict(type=int, default=0, help="master seed for rand"),
+    "--threads": dict(type=int, default=1, help="parallel workers (1 = reproducible stats)"),
+    "--trial-cap": dict(type=int, default=DEFAULT_TRIAL_CAP, help="refuse rand runs needing more trials"),
+    "--budget": dict(type=int, default=None, help="oracle enumeration budget (colorings)"),
+}
+
+
+def _add_solver_options(p: argparse.ArgumentParser, flags: Iterable[str] = SOLVER_OPTIONS) -> None:
+    for flag in flags:
+        p.add_argument(flag, **SOLVER_OPTIONS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exhaustive count of no-rainbow colorings")
     p.add_argument("path")
-    p.add_argument("--budget", type=int, default=None)
+    _add_solver_options(p, ["--budget"])
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("gen", help="emit a generated instance")
@@ -317,11 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus", nargs="+", help="instance paths or family:k=v,... specs")
     p.add_argument("--algos", default="det", help="comma list from det,rand,oracle")
     p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--trial-cap", type=int, default=DEFAULT_TRIAL_CAP)
-    p.add_argument("--budget", type=int, default=None)
+    _add_solver_options(p, [flag for flag in SOLVER_OPTIONS if flag != "--algo"])
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_bench)
 

@@ -1,4 +1,4 @@
-"""r-uniform hypergraphs, colorings, and the predicates every solver shares.
+"""r-uniform hypergraphs, colorings, and the certificate predicate every solver shares.
 
 Nodes are 0..n-1 internally and 1..n in instance files. Colors are 1..r
 everywhere. A coloring is a plain list of ints of length n; in det's search
@@ -181,33 +181,12 @@ def parse_certificate(line: str) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# coloring predicates
-
-
-def is_rainbow_edge(hg: Hypergraph, coloring: list[int], edge_index: int) -> bool:
-    """True when the edge's r nodes carry r distinct colors."""
-    e = hg.edges[edge_index]
-    return len({coloring[v] for v in e}) == hg.r
-
-
-def first_rainbow_edge(hg: Hypergraph, coloring: list[int]) -> Optional[int]:
-    """Lowest edge index that is rainbow, or None when none is."""
-    for ei in range(hg.m):
-        if is_rainbow_edge(hg, coloring, ei):
-            return ei
-    return None
-
-
-def is_surjective(hg: Hypergraph, coloring: list[int]) -> bool:
-    return set(coloring) == set(range(1, hg.r + 1))
+# certificate predicate
 
 
 def is_no_rainbow_coloring(hg: Hypergraph, coloring: list[int]) -> bool:
-    """True when coloring maps into 1..r, uses every color, and no edge is
-    rainbow. This is exactly what solvers must certify."""
-    if len(coloring) != hg.n:
+    """True when coloring has length n, its colors are exactly 1..r, and no
+    edge carries r distinct colors. This is exactly what solvers must certify."""
+    if len(coloring) != hg.n or set(coloring) != set(range(1, hg.r + 1)):
         return False
-    if not is_surjective(hg, coloring):
-        return False
-    return first_rainbow_edge(hg, coloring) is None
-
+    return all(len({coloring[v] for v in e}) < hg.r for e in hg.edges)

@@ -14,11 +14,23 @@ from norainbow import (
     SearchOutcome,
     SearchStats,
     enumerate_initial_pairs,
-    first_rainbow_edge,
     is_no_rainbow_coloring,
-    is_rainbow_edge,
     lockstep_walks,
 )
+
+
+def is_rainbow_edge(hg: Hypergraph, coloring: list[int], edge_index: int) -> bool:
+    """True when the edge's r nodes carry r distinct colors."""
+    e = hg.edges[edge_index]
+    return len({coloring[v] for v in e}) == hg.r
+
+
+def first_rainbow_edge(hg: Hypergraph, coloring: list[int]) -> Optional[int]:
+    """Lowest edge index that is rainbow, or None when none is."""
+    for ei in range(hg.m):
+        if is_rainbow_edge(hg, coloring, ei):
+            return ei
+    return None
 
 
 def hamming(a: list[int], b: list[int]) -> int:

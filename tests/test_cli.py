@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from norainbow import parse_instance, write_instance
+from norainbow import COLORABLE, OracleReport, SearchOutcome, cli, parse_instance, write_instance
 from norainbow.cli import CSV_HEADER, build_parser, expand_corpus_token, main
 from norainbow.instances import gen_complete, gen_planted, read_planted_witness
 from norainbow.oracle import oracle_verify_certificate
@@ -149,6 +149,11 @@ def test_decisive(capsys, tmp_path):
     c54.write_text(write_instance(gen_complete(5, 4)))
     code, out, _ = run_cli(capsys, "decisive", str(c54))
     assert (code, out.strip()) == (30, "s DECISIVE")
+    code, out, _ = run_cli(capsys, "decisive", str(c54), "--algo", "rand")
+    assert (code, out.splitlines()) == (
+        30,
+        ["c note: randomized decider; DECISIVE is a one-sided claim", "s DECISIVE"],
+    )
 
     z54 = tmp_path / "z54.nrc"
     z54.write_text("p nrc 5 0 4\n")
@@ -190,6 +195,15 @@ def test_bench_complete_sweep_nodes_monotone(capsys):
     nodes = [int(row["recursion_nodes"]) for row in rows]
     assert all(a <= b for a, b in zip(nodes, nodes[1:]))
     assert all(row["decision"] == "NOT_COLORABLE" for row in rows)
+
+
+def test_bench_oracle_row_counts_colorings_and_witnesses(capsys, planted):
+    _, out, _ = run_cli(capsys, "oracle", planted)
+    witnesses = int(out.splitlines()[0].removeprefix("c witnesses "))
+    code, out, _ = run_cli(capsys, "bench", planted, "--algos", "oracle")
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert code == 0
+    assert (int(row["recursion_nodes"]), int(row["trials"])) == (3**8, witnesses)
 
 
 def test_bench_records_errors_in_row(capsys, tmp_path):
@@ -247,10 +261,38 @@ def test_solve_rand_alpha_checked_on_degenerate_inputs(capsys, tmp_path):
     [
         (["complete:r=3,n=9..6"], "empty n range '9..6' in 'complete:r=3,n=9..6'"),
         (["complete:r=3,n=6", "--reps", "0"], "--reps must be >= 1, got 0"),
+        (["complete:r=3,n=6", "--algos", ","], "--algos ',' names no algo; choose from det, rand, oracle"),
+        (["complete:r=3,n=6", "--algos", ""], "--algos '' names no algo; choose from det, rand, oracle"),
+        (["complete:r=3,n=6", "--threads", "0"], "workers must be >= 1, got 0"),
+        (["random:n=x,r=3"], "non-integer n value 'x' in 'random:n=x,r=3'"),
     ],
 )
 def test_bench_refuses_to_run_nothing(capsys, argv, message):
     assert run_cli(capsys, "bench", *argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["solve"], "det_nrc"),
+        (["solve", "--algo", "rand"], "rand_nrc"),
+        (["solve", "--algo", "oracle"], "oracle_decide"),
+        (["decisive"], "det_nrc"),
+        (["oracle"], "oracle_decide"),
+    ],
+)
+def test_unverified_certificate_is_an_error(capsys, monkeypatch, tmp_path, argv, target):
+    # The deciders are looked up in norainbow.cli at call time, so a fake
+    # installed there is the one every command runs.
+    path = tmp_path / "z54.nrc"
+    path.write_text("p nrc 5 0 4\n")
+    bad = [1] * 5
+    fake = OracleReport(COLORABLE, 1, bad) if target == "oracle_decide" else SearchOutcome(COLORABLE, bad)
+    monkeypatch.setattr(cli, target, lambda *args, **kwargs: fake)
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert code == 1
+    assert not [line for line in out.splitlines() if line.startswith("s ")]
+    assert err == "error: certificate failed independent verification\n"
 
 
 def test_oracle_bad_budget_env_var_names_it(capsys, monkeypatch, complete43):

@@ -8,15 +8,13 @@ from hypothesis import strategies as st
 from norainbow import (
     Hypergraph,
     ParseError,
-    first_rainbow_edge,
     is_no_rainbow_coloring,
-    is_rainbow_edge,
     parse_instance,
     write_instance,
 )
 from norainbow.instances import gen_complete, gen_random
 
-from reference import hamming, select_branch_edge
+from reference import first_rainbow_edge, hamming, is_rainbow_edge, select_branch_edge
 from strategies import colored_hypergraphs, hypergraphs
 
 

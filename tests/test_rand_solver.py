@@ -13,7 +13,6 @@ from norainbow import (
     NOT_COLORABLE,
     Hypergraph,
     SearchStats,
-    first_rainbow_edge,
     is_no_rainbow_coloring,
     lockstep_walks,
     rand_nrc,
@@ -26,6 +25,7 @@ from norainbow.oracle import oracle_verify_certificate
 from reference import (
     completion_exit,
     fallback_edge,
+    first_rainbow_edge,
     has_fully_frozen_rainbow,
     rand_local_search,
     reference_walk,
