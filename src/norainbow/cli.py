@@ -15,6 +15,7 @@ import time
 from pathlib import Path
 from typing import Iterable, Optional
 
+from .bulk_parse import parse_instance
 from .det_solver import det_nrc
 from .hypergraph import (
     COLORABLE,
@@ -23,12 +24,11 @@ from .hypergraph import (
     SearchStats,
     format_certificate,
     parse_certificate,
-    parse_instance,
     write_instance,
 )
 from .instances import InstanceSpec, planted_comment
 from .oracle import oracle_decide, oracle_verify_certificate
-from .rand_solver import DEFAULT_TRIAL_CAP, rand_nrc
+from .rand_solver import DEFAULT_TRIAL_CAP, check_alpha, rand_nrc
 
 ALGOS = ("det", "rand", "oracle")
 EXIT_ERROR = 1
@@ -95,7 +95,7 @@ def _answer(hg: Hypergraph, decision: str, certificate: Optional[list[int]], yes
 def cmd_solve(args) -> int:
     hg = _read_instance(args.path)
     decision, certificate, stats = _solve_with(hg, args.algo, args, args.seed)
-    if args.stats and args.algo != "oracle":
+    if args.stats:
         print(
             f"c stats nodes={stats.recursion_nodes} fallback={stats.fallback_nodes} "
             f"trials={stats.trials} ms={stats.elapsed * 1000:.3f}"
@@ -212,6 +212,8 @@ def cmd_bench(args) -> int:
         raise ValueError(f"--reps must be >= 1, got {args.reps}")
     if args.threads < 1:
         raise ValueError(f"workers must be >= 1, got {args.threads}")
+    if "rand" in algos:
+        check_alpha(args.alpha)
     corpus: list[tuple[str, Hypergraph]] = []
     for token in args.corpus:
         corpus.extend(expand_corpus_token(token))

@@ -10,6 +10,8 @@ import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+import numpy as np
+
 COLORABLE = "COLORABLE"
 NOT_COLORABLE = "NOT_COLORABLE"
 
@@ -46,6 +48,15 @@ class Hypergraph:
                 raise ValueError(f"edge {e} has a node id outside 0..{self.n - 1}")
         object.__setattr__(self, "edges", tuple(canon))
 
+    @classmethod
+    def from_canonical(cls, n: int, r: int, edges: tuple[tuple[int, ...], ...], incidence: tuple[int, ...]):
+        """A Hypergraph whose edges are already canonical, with their
+        incidence, built without re-running the checks; for parsers that
+        checked the edges in bulk."""
+        hg = object.__new__(cls)
+        hg.__dict__.update(n=n, r=r, edges=edges, incidence=incidence)
+        return hg
+
     @property
     def m(self) -> int:
         return len(self.edges)
@@ -56,15 +67,20 @@ class Hypergraph:
 
     @functools.cached_property
     def incidence(self) -> tuple[int, ...]:
-        """Per node, the bit set of the edges that contain it: bit i is edge i.
-        Bits are set in one little-endian byte row per node, converted once:
-        OR-ing 1 << i into a growing int would copy it per edge, O(m^2/64)."""
-        rows = [bytearray((self.m + 7) // 8) for _ in range(self.n)]
-        for i, e in enumerate(self.edges):
-            byte, bit = i >> 3, 1 << (i & 7)
-            for v in e:
-                rows[v][byte] |= bit
-        return tuple(int.from_bytes(row, "little") for row in rows)
+        """Per node, the bit set of the edges that contain it: bit i is edge i."""
+        return incidence_of(np.array(self.edges, dtype=np.int64).reshape(self.m, self.r), self.n)
+
+
+def incidence_of(rows: np.ndarray, n: int) -> tuple[int, ...]:
+    """Hypergraph.incidence of the (m, r) array of edge rows. Bits are set in
+    one little-endian byte row per node, converted to an int once: OR-ing
+    1 << i into a growing int would copy it per edge, O(m^2/64)."""
+    width = (len(rows) + 7) // 8
+    edge = np.arange(len(rows))
+    bits = np.zeros(n * width, np.uint8)
+    where = rows * width + (edge >> 3)[:, None]
+    np.bitwise_or.at(bits, where.ravel(), np.repeat((1 << (edge & 7)).astype(np.uint8), rows.shape[1]))
+    return tuple(int.from_bytes(row, "little") for row in bits.reshape(n, width))
 
 
 @dataclass
@@ -110,9 +126,11 @@ class SearchOutcome:
 # instance file format
 
 
-def parse_instance(text: str) -> Hypergraph:
-    """Parse instance text: 'c' comments, a 'p nrc <n> <m> <r>' header, then
-    m lines of r space-separated 1-indexed node ids."""
+def parse_lines(text: str) -> Hypergraph:
+    """Parse instance text line by line: 'c' comments, a 'p nrc <n> <m> <r>'
+    header, then m lines of r space-separated 1-indexed node ids.
+    `bulk_parse.parse_instance` falls back to this for every text it does
+    not take, and for the line-numbered ParseError of every text it rejects."""
     n = m = r = -1
     seen_header = False
     edges: list[list[int]] = []

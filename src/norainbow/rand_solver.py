@@ -41,14 +41,14 @@ def trial_count(n: int, r: int, alpha: float, cap: int = DEFAULT_TRIAL_CAP) -> i
     cap so a huge n fails loudly instead of looping for years."""
     if r < 2 or n < r:
         raise ValueError(f"need n >= r >= 2, got n={n}, r={r}")
-    _check_alpha(alpha)
+    check_alpha(alpha)
     count = math.ceil(Fraction(str(alpha)) * Fraction(r, 2) ** n)
     if count > cap:
         raise ValueError(f"trial count {count} exceeds cap {cap}; raise the cap to proceed")
     return count
 
 
-def _check_alpha(alpha: float) -> None:
+def check_alpha(alpha: float) -> None:
     if not alpha > 1:
         raise ValueError(f"alpha must be > 1, got {alpha}")
     if not math.isfinite(alpha):
@@ -189,7 +189,7 @@ def rand_nrc(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    _check_alpha(alpha)
+    check_alpha(alpha)
     t0 = time.perf_counter()
     stats = SearchStats()
     if hg.n < hg.r:

@@ -83,6 +83,20 @@ def test_solve_stats_line(capsys, planted):
     assert out.splitlines()[0].startswith("c stats nodes=")
 
 
+def test_solve_oracle_stats_line(capsys, complete43, zero_edge):
+    for path, nodes, trials, code in ((complete43, 3**4, 0, 20), (zero_edge, 3**5, 150, 10)):
+        got, out, _ = run_cli(capsys, "solve", path, "--algo", "oracle", "--stats")
+        assert got == code
+        assert re.fullmatch(rf"c stats nodes={nodes} fallback=0 trials={trials} ms=\d+\.\d{{3}}", out.splitlines()[0])
+
+
+def test_bench_alpha_unchecked_without_rand(capsys):
+    code, out, _ = run_cli(capsys, "bench", "complete:r=3,n=5", "--alpha", "1")
+    assert code == 0
+    row = list(csv.reader(io.StringIO(out)))[1]
+    assert row[CSV_HEADER.index("alpha") :][:2] == ["", "NOT_COLORABLE"]
+
+
 def test_solve_parse_error(capsys, tmp_path):
     bad = tmp_path / "bad.nrc"
     bad.write_text("p nrc 3 1 3\n1 2 9\n")
@@ -264,6 +278,10 @@ def test_solve_rand_alpha_checked_on_degenerate_inputs(capsys, tmp_path):
         (["complete:r=3,n=6", "--algos", ","], "--algos ',' names no algo; choose from det, rand, oracle"),
         (["complete:r=3,n=6", "--algos", ""], "--algos '' names no algo; choose from det, rand, oracle"),
         (["complete:r=3,n=6", "--threads", "0"], "workers must be >= 1, got 0"),
+        (["complete:r=3,n=6", "--algos", "rand", "--alpha", "1"], "alpha must be > 1, got 1.0"),
+        (["complete:r=3,n=6", "--algos", "det,rand", "--alpha", "-2"], "alpha must be > 1, got -2.0"),
+        (["complete:r=3,n=6", "--algos", "rand", "--alpha", "nan"], "alpha must be > 1, got nan"),
+        (["complete:r=3,n=6", "--algos", "oracle,rand", "--alpha", "inf"], "alpha must be finite, got inf"),
         (["random:n=x,r=3"], "non-integer n value 'x' in 'random:n=x,r=3'"),
     ],
 )

@@ -12,6 +12,8 @@ from norainbow import (
     parse_instance,
     write_instance,
 )
+from norainbow.bulk_parse import _parse_bulk
+from norainbow.hypergraph import parse_lines
 from norainbow.instances import gen_complete, gen_random
 
 from reference import first_rainbow_edge, hamming, is_rainbow_edge, select_branch_edge
@@ -116,6 +118,142 @@ def test_roundtrip_generated_corpus():
 @given(hypergraphs())
 def test_roundtrip_property(hg):
     assert parse_instance(write_instance(hg)) == hg
+
+
+# --- bulk parse against the line parser -------------------------------------
+
+
+def _outcome(parse, text):
+    """What a parser makes of text: the graph with its incidence, or the message."""
+    try:
+        hg = parse(text)
+    except ParseError as exc:
+        return str(exc)
+    return hg, hg.incidence
+
+
+FAULTS = ("none", "header", "count", "size", "range", "repeat", "token", "comment")
+
+
+@st.composite
+def instance_texts(draw):
+    """write_instance text with its edge lines shuffled, the ids of each line
+    permuted and some lines repeated, then at most one fault; (text, fault)."""
+    hg = draw(hypergraphs())
+    rng = draw(st.randoms(use_true_random=False))
+    rows = [line.split() for line in write_instance(hg).splitlines()[1:]]
+    if rows:
+        rows += [list(rng.choice(rows)) for _ in range(draw(st.integers(0, 3)))]
+    rng.shuffle(rows)
+    for row in rows:
+        rng.shuffle(row)
+    n, m, r = hg.n, len(rows), hg.r
+    header, extra = f"p nrc {n} {m} {r}", None
+    fault = draw(st.sampled_from(FAULTS))
+    if fault == "header":
+        header, extra = draw(
+            st.sampled_from(
+                [
+                    (f"p nrc {n} {m}", None),
+                    (f"p cnf {n} {m} {r}", None),
+                    (f"p nrc {n} {m} 1", None),
+                    (f"p nrc x {m} {r}", None),
+                    (header, header),
+                ]
+            )
+        )
+    elif fault == "count":
+        header = f"p nrc {n} {m + draw(st.sampled_from([-1, 1]))} {r}"
+    elif fault == "comment":
+        extra = draw(st.sampled_from(["c note", "", "  \t"]))
+    elif fault != "none" and rows:
+        row = rng.choice(rows)
+        k = rng.randrange(r)
+        if fault == "size" and rng.random() < 0.5:
+            row.insert(k, str(rng.randint(1, n)))
+        elif fault == "size":
+            row.pop(k)
+        elif fault == "range":
+            row[k] = str(rng.choice([0, n + 1, -1, 2**64]))
+        elif fault == "repeat":
+            row[k] = row[k - 1]
+        else:
+            row[k] = draw(st.sampled_from(["x", "1.5", "0x1", "-" + row[k], "+" + row[k], "0" + row[k], "1_0", "\uff13"]))
+    lines = [" ".join(row) for row in rows]
+    if extra is not None:
+        lines.insert(rng.randint(0, len(lines)), extra)
+    return "\n".join([header, *lines]) + "\n", fault
+
+
+@given(instance_texts())
+def test_bulk_parse_matches_line_parser(case):
+    text, fault = case
+    assert _outcome(parse_instance, text) == _outcome(parse_lines, text)
+    if fault == "none":
+        assert _parse_bulk(text) is not None
+
+
+@pytest.mark.parametrize(
+    "text, n, edges",
+    [
+        ("p nrc 4 2 3\r\n3 1 2\r\n4 2 1\r\n", 4, ((0, 1, 2), (0, 1, 3))),
+        ("p nrc 4 1 3\n1 2 4\x0c\n", 4, ((0, 1, 3),)),
+        ("p nrc 4 1 3\n4 3 2", 4, ((1, 2, 3),)),
+        ("p nrc 4 1 3\n+3 1 2\n", 4, ((0, 1, 2),)),
+        ("p nrc 4 1 3\n03 1 2\n", 4, ((0, 1, 2),)),
+        ("p nrc 4 1 3\n\uff13 1 2\n", 4, ((0, 1, 2),)),
+        ("p nrc 10 1 3\n1_0 1 2\n", 10, ((0, 1, 9),)),
+        ("p nrc 4 0 3\n", 4, ()),
+        ("p nrc 4 0 3", 4, ()),
+    ],
+)
+def test_parse_texts_either_path_takes(text, n, edges):
+    hg = parse_instance(text)
+    assert (hg.n, hg.r, hg.edges) == (n, 3, edges)
+    assert hg.incidence == _shift_incidence(hg)
+    assert _outcome(parse_instance, text) == _outcome(parse_lines, text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p\x0bnrc 4 1 3\n1 2 4\n", "line 1: malformed header 'p'"),
+        ("c a\x85b\np nrc 4 1 3\n1 2 4\n", "line 2: edge line before header"),
+        ("p nrc 4 1 3\n1 2\x0c3\n", "line 2: edge of wrong size, expected 3 node ids, got 2"),
+        ("p nrc 4 1 3\r\n1 2\r3\r\n", "line 2: edge of wrong size, expected 3 node ids, got 2"),
+        ("p nrc 4 1 2\n1 + 2\n", "line 2: edge of wrong size, expected 2 node ids, got 3"),
+        ("p nrc 4 2 2\n1 2 0 3 4\n", "line 2: edge of wrong size, expected 2 node ids, got 5"),
+        ("p nrc 4 1 3\n1 2 99999999999999999999\n", "line 2: node id out of range (got 99999999999999999999, n=4)"),
+    ],
+)
+def test_parse_errors_match_line_parser(text, message):
+    assert _outcome(parse_instance, text) == _outcome(parse_lines, text) == message
+
+
+def test_parse_huge_header_builds_no_incidence():
+    # the bulk path would build 10**13 incidence rows; the line parser builds none
+    hg = parse_instance("p nrc 10000000000000 0 3\n")
+    assert (hg.n, hg.m) == (10**13, 0)
+
+
+def test_parse_at_scale_matches_generator():
+    hg = gen_random(200, 20000, 3, 1)
+    parsed = parse_instance(write_instance(hg))
+    assert parsed == hg
+    assert parsed.incidence == _shift_incidence(hg)
+
+
+def test_parse_dedups_without_packed_keys():
+    # 300**8 >= 2**63, so the rows are too wide for one int64 key each
+    rng = random.Random(5)
+    edges = [tuple(rng.sample(range(300), 8)) for _ in range(6)]
+    lines = [" ".join(str(v + 1) for v in rng.sample(e, 8)) for e in edges + edges[:2]]
+    text = f"p nrc 300 {len(lines)} 8\n" + "\n".join(lines) + "\n"
+    parsed = _parse_bulk(text)
+    hg = Hypergraph(300, 8, tuple(edges))
+    assert 300**8 >= 2**63
+    assert parsed == hg
+    assert parsed.incidence == _shift_incidence(hg)
 
 
 # --- predicates -------------------------------------------------------------
