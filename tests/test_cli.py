@@ -278,11 +278,11 @@ def test_solve_rand_alpha_checked_on_degenerate_inputs(capsys, tmp_path):
         (["complete:r=3,n=6", "--algos", ","], "--algos ',' names no algo; choose from det, rand, oracle"),
         (["complete:r=3,n=6", "--algos", ""], "--algos '' names no algo; choose from det, rand, oracle"),
         (["complete:r=3,n=6", "--threads", "0"], "workers must be >= 1, got 0"),
+        (["random:n=x,r=3"], "non-integer n value 'x' in 'random:n=x,r=3'"),
         (["complete:r=3,n=6", "--algos", "rand", "--alpha", "1"], "alpha must be > 1, got 1.0"),
         (["complete:r=3,n=6", "--algos", "det,rand", "--alpha", "-2"], "alpha must be > 1, got -2.0"),
         (["complete:r=3,n=6", "--algos", "rand", "--alpha", "nan"], "alpha must be > 1, got nan"),
         (["complete:r=3,n=6", "--algos", "oracle,rand", "--alpha", "inf"], "alpha must be finite, got inf"),
-        (["random:n=x,r=3"], "non-integer n value 'x' in 'random:n=x,r=3'"),
     ],
 )
 def test_bench_refuses_to_run_nothing(capsys, argv, message):
