@@ -22,14 +22,7 @@ import operator
 import time
 from typing import Callable, Iterator, Optional
 
-from .hypergraph import (
-    COLORABLE,
-    NOT_COLORABLE,
-    Hypergraph,
-    SearchOutcome,
-    SearchStats,
-    is_no_rainbow_coloring,
-)
+from .hypergraph import Hypergraph, SearchOutcome, SearchStats
 from .parallel import search_ranges
 
 TraceFn = Callable[[int, list[int], list[bool]], None]
@@ -112,11 +105,7 @@ def local_search(
     certificate = _search(hg, coloring, frozen, touched, 0, w_edges, radius, 0, stats, trace)
     stats.elapsed = time.perf_counter() - t0
     stats.max_start_nodes = stats.recursion_nodes
-    if certificate is None:
-        return SearchOutcome(NOT_COLORABLE, None, stats)
-    if not is_no_rainbow_coloring(hg, certificate):
-        raise RuntimeError("internal error: search produced an invalid certificate")
-    return SearchOutcome(COLORABLE, certificate, stats)
+    return SearchOutcome.of(hg, certificate, stats)
 
 
 def _search(
@@ -185,9 +174,7 @@ def det_nrc(hg: Hypergraph, workers: int = 1) -> SearchOutcome:
         if certificate is None:
             certificate = search_ranges(hg, _det_range, start_count(hg.n, hg.r), workers, stats)
     stats.elapsed = time.perf_counter() - t0
-    if certificate is None:
-        return SearchOutcome(NOT_COLORABLE, None, stats)
-    return SearchOutcome(COLORABLE, certificate, stats)
+    return SearchOutcome.of(hg, certificate, stats)
 
 
 def _root_certificate(hg: Hypergraph, stats: SearchStats) -> Optional[list[int]]:
@@ -202,8 +189,6 @@ def _root_certificate(hg: Hypergraph, stats: SearchStats) -> Optional[list[int]]
             coloring = [b] * hg.n
             for color, v in enumerate(subset, 1):
                 coloring[v] = color
-            if not is_no_rainbow_coloring(hg, coloring):
-                raise RuntimeError("internal error: root sweep produced an invalid certificate")
             stats.absorb(SearchStats(recursion_nodes=1, trials=1, max_start_nodes=1))
             return coloring
     return None

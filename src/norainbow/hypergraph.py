@@ -1,12 +1,14 @@
 """r-uniform hypergraphs, colorings, and the certificate predicate every solver shares.
 
-Nodes are 0..n-1 internally and 1..n in instance files. Colors are 1..r
-everywhere. A coloring is a plain list of ints of length n; in det's search
-it sits beside a list of n bools, True for each frozen node.
+Nodes are 0..n-1 internally and 1..n in instance files; the Hypergraph
+constructor is the one check of every edge list, built or parsed. Colors
+are 1..r everywhere. A coloring is a plain list of ints of length n; in
+det's search it sits beside a list of n bools, True for each frozen node.
 """
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -24,38 +26,54 @@ class ParseError(ValueError):
 class Hypergraph:
     """Immutable r-uniform hypergraph.
 
-    Edges are canonicalized on construction: each edge sorted ascending,
+    Edges, given as a sequence of tuples or as an (m, r) int array, are
+    checked and canonicalized on construction: each edge sorted ascending,
     the edge list sorted lexicographically, duplicates dropped. m always
-    counts unique edges.
+    counts unique edges, and rows holds them as a read-only (m, r) int64
+    array, row i being edges[i]. An edge of the wrong size, or with an id
+    that is not a 64-bit integer, outside 0..n-1 or repeated, is a ValueError
+    naming it.
     """
 
     n: int
     r: int
     edges: tuple[tuple[int, ...], ...] = ()
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.r < 2:
-            raise ValueError(f"uniformity r must be >= 2, got {self.r}")
-        if self.n < 0:
-            raise ValueError(f"node count must be >= 0, got {self.n}")
-        canon = sorted({tuple(sorted(e)) for e in self.edges})
-        for e in canon:
-            if len(e) != self.r:
-                raise ValueError(f"edge {e} has {len(e)} nodes, expected {self.r}")
-            if len(set(e)) != self.r:
-                raise ValueError(f"edge {e} repeats a node")
-            if e[0] < 0 or e[-1] >= self.n:
-                raise ValueError(f"edge {e} has a node id outside 0..{self.n - 1}")
-        object.__setattr__(self, "edges", tuple(canon))
-
-    @classmethod
-    def from_canonical(cls, n: int, r: int, edges: tuple[tuple[int, ...], ...], incidence: tuple[int, ...]):
-        """A Hypergraph whose edges are already canonical, with their
-        incidence, built without re-running the checks; for parsers that
-        checked the edges in bulk."""
-        hg = object.__new__(cls)
-        hg.__dict__.update(n=n, r=r, edges=edges, incidence=incidence)
-        return hg
+        n, r, edges = self.n, self.r, self.edges
+        if r < 2:
+            raise ValueError(f"uniformity r must be >= 2, got {r}")
+        if n < 0:
+            raise ValueError(f"node count must be >= 0, got {n}")
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+            for e in edges:
+                if len(e) != r:
+                    raise ValueError(f"edge {tuple(e)} has {len(e)} nodes, expected {r}")
+        rows = np.array(edges).reshape(len(edges), r)
+        # a float or str id, or an int beyond int64, leaves a non-int or a uint64 array
+        if rows.dtype.kind not in "iu" or rows.size and rows.max() >= 2**63:
+            for e in edges.tolist() if isinstance(edges, np.ndarray) else edges:
+                if not all(isinstance(v, numbers.Integral) and -(2**63) <= v < 2**63 for v in e):
+                    raise ValueError(f"edge {tuple(e)} has a node id that is not a 64-bit integer")
+        rows = np.sort(rows.astype(np.int64), axis=1)
+        for bad, problem in (
+            ((rows[:, 0] < 0) | (rows[:, -1] >= n), f"has a node id outside 0..{n - 1}"),
+            ((rows[:, 1:] == rows[:, :-1]).any(axis=1), "repeats a node"),
+        ):
+            if bad.any():
+                raise ValueError(f"edge {tuple(rows[bad.argmax()].tolist())} {problem}")
+        if r * n.bit_length() <= 63:  # n**r < 2**63: one int64 key per row
+            keys = rows[:, 0]
+            for j in range(1, r):
+                keys = keys * n + rows[:, j]
+            rows = rows[np.unique(keys, return_index=True)[1]]
+        else:
+            rows = np.unique(rows, axis=0)
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "edges", tuple(zip(*rows.T.tolist())))
 
     @property
     def m(self) -> int:
@@ -67,20 +85,16 @@ class Hypergraph:
 
     @functools.cached_property
     def incidence(self) -> tuple[int, ...]:
-        """Per node, the bit set of the edges that contain it: bit i is edge i."""
-        return incidence_of(np.array(self.edges, dtype=np.int64).reshape(self.m, self.r), self.n)
-
-
-def incidence_of(rows: np.ndarray, n: int) -> tuple[int, ...]:
-    """Hypergraph.incidence of the (m, r) array of edge rows. Bits are set in
-    one little-endian byte row per node, converted to an int once: OR-ing
-    1 << i into a growing int would copy it per edge, O(m^2/64)."""
-    width = (len(rows) + 7) // 8
-    edge = np.arange(len(rows))
-    bits = np.zeros(n * width, np.uint8)
-    where = rows * width + (edge >> 3)[:, None]
-    np.bitwise_or.at(bits, where.ravel(), np.repeat((1 << (edge & 7)).astype(np.uint8), rows.shape[1]))
-    return tuple(int.from_bytes(row, "little") for row in bits.reshape(n, width))
+        """Per node, the bit set of the edges that contain it: bit i is edge
+        i. Bits are set in one little-endian byte row per node, converted to
+        an int once: OR-ing 1 << i into a growing int would copy it per
+        edge, O(m^2/64)."""
+        width = (self.m + 7) // 8
+        edge = np.arange(self.m)
+        bits = np.zeros(self.n * width, np.uint8)
+        where = self.rows * width + (edge >> 3)[:, None]
+        np.bitwise_or.at(bits, where.ravel(), np.repeat((1 << (edge & 7)).astype(np.uint8), self.r))
+        return tuple(int.from_bytes(row, "little") for row in bits.reshape(self.n, width))
 
 
 @dataclass
@@ -116,6 +130,16 @@ class SearchOutcome:
     decision: str
     certificate: Optional[list[int]]
     stats: SearchStats = field(default_factory=SearchStats)
+
+    @classmethod
+    def of(cls, hg: Hypergraph, certificate: Optional[list[int]], stats: SearchStats) -> "SearchOutcome":
+        """NOT_COLORABLE without a certificate; COLORABLE with one that
+        is_no_rainbow_coloring accepts. The one gate every solver answers through."""
+        if certificate is None:
+            return cls(NOT_COLORABLE, None, stats)
+        if not is_no_rainbow_coloring(hg, certificate):
+            raise RuntimeError("internal error: a solver produced an invalid certificate")
+        return cls(COLORABLE, certificate, stats)
 
     @property
     def colorable(self) -> bool:

@@ -78,7 +78,7 @@ def oracle_decide(hg: Hypergraph, budget: Optional[int] = None) -> OracleReport:
     dtype = np.min_scalar_type((1 << r) - 1)
     color_bit = np.array([1 << c for c in range(r)], dtype=dtype)
     full = dtype.type((1 << r) - 1)
-    edges = np.array(hg.edges, dtype=np.intp).reshape(m, r)
+    edges = hg.rows
 
     # Suffix table, rows in counting order of the last k nodes.
     rows = np.arange(r**k, dtype=np.int64)

@@ -22,14 +22,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .hypergraph import (
-    COLORABLE,
-    NOT_COLORABLE,
-    Hypergraph,
-    SearchOutcome,
-    SearchStats,
-    is_no_rainbow_coloring,
-)
+from .hypergraph import Hypergraph, SearchOutcome, SearchStats
 from .parallel import search_ranges
 
 DEFAULT_TRIAL_CAP = 10**6
@@ -78,7 +71,7 @@ def lockstep_walks(hg: Hypergraph, colors, frozen, rng: np.random.Generator) -> 
     color each.
     """
     colors, frozen = _checked_starts(hg, colors, frozen)
-    edges = np.array(hg.edges, dtype=np.intp).reshape(hg.m, hg.r)
+    edges = hg.rows
     certified = np.zeros(len(colors), dtype=bool)
     evaluations = np.zeros(len(colors), dtype=np.int64)
     live = np.arange(len(colors))
@@ -160,16 +153,6 @@ def _checked_starts(hg: Hypergraph, colors, frozen) -> tuple[np.ndarray, np.ndar
     return colors, frozen
 
 
-def _verified(hg: Hypergraph, certificate: list[int]) -> list[int]:
-    if not is_no_rainbow_coloring(hg, certificate):
-        raise RuntimeError("internal error: walk produced an invalid certificate")
-    return certificate
-
-
-def _canonical_certificate(hg: Hypergraph) -> list[int]:
-    return [v + 1 if v < hg.r else 1 for v in range(hg.n)]
-
-
 def rand_nrc(
     hg: Hypergraph,
     alpha: float = 2.0,
@@ -193,21 +176,14 @@ def rand_nrc(
     t0 = time.perf_counter()
     stats = SearchStats()
     if hg.n < hg.r:
-        stats.elapsed = time.perf_counter() - t0
-        return SearchOutcome(NOT_COLORABLE, None, stats)
-    if hg.m == 0:
-        certificate = _canonical_certificate(hg)
-        if not is_no_rainbow_coloring(hg, certificate):
-            raise RuntimeError("internal error: degenerate certificate invalid")
-        stats.elapsed = time.perf_counter() - t0
-        return SearchOutcome(COLORABLE, certificate, stats)
-    trials = trial_count(hg.n, hg.r, alpha, cap)
-    range_fn = functools.partial(_rand_range, master_seed=master_seed)
-    certificate = search_ranges(hg, range_fn, trials, workers, stats)
+        certificate = None
+    elif hg.m == 0:
+        certificate = [v + 1 if v < hg.r else 1 for v in range(hg.n)]
+    else:
+        range_fn = functools.partial(_rand_range, master_seed=master_seed)
+        certificate = search_ranges(hg, range_fn, trial_count(hg.n, hg.r, alpha, cap), workers, stats)
     stats.elapsed = time.perf_counter() - t0
-    if certificate is None:
-        return SearchOutcome(NOT_COLORABLE, None, stats)
-    return SearchOutcome(COLORABLE, certificate, stats)
+    return SearchOutcome.of(hg, certificate, stats)
 
 
 def _rand_range(hg: Hypergraph, lo: int, hi: int, stats: SearchStats, master_seed: int) -> Optional[list[int]]:
@@ -230,5 +206,5 @@ def _rand_range(hg: Hypergraph, lo: int, hi: int, stats: SearchStats, master_see
         stats.max_start_nodes = max(stats.max_start_nodes, int(walks.evaluations.max()))
         hits = np.flatnonzero(walks.certified)
         if hits.size:
-            return _verified(hg, walks.colors[hits[0]].tolist())
+            return walks.colors[hits[0]].tolist()
     return None

@@ -60,7 +60,7 @@ def test_solve_complete_uncolorable(capsys, complete43):
 def test_solve_certificate_is_valid(capsys, planted):
     code, out, _ = run_cli(capsys, "solve", planted, "--algo", "rand", "--seed", "3")
     assert code == 10
-    hg = parse_instance(open(planted).read())
+    hg = parse_instance(Path(planted).read_text())
     colors = [int(t) for t in out.splitlines()[1].split()[1:]]
     assert oracle_verify_certificate(hg, colors)
 

@@ -1,6 +1,8 @@
 import itertools
 import random
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,8 +10,14 @@ from hypothesis import strategies as st
 from norainbow import (
     Hypergraph,
     ParseError,
+    Walks,
+    det_nrc,
+    det_solver,
     is_no_rainbow_coloring,
+    local_search,
     parse_instance,
+    rand_nrc,
+    rand_solver,
     write_instance,
 )
 from norainbow.bulk_parse import _parse_bulk
@@ -38,6 +46,28 @@ def test_bad_edges_rejected():
         Hypergraph(3, 3, ((0, 1, 1),))
     with pytest.raises(ValueError):
         Hypergraph(3, 1, ())
+    for edge in ((0, 1, 2.5), (0, 1, 2.0), (0, 1, "2"), (0, 1, 2**63), (0, 1, 2**64), (0, 1, -(2**70))):
+        with pytest.raises(ValueError, match=re.escape(f"edge {edge}")):
+            Hypergraph(5, 3, (edge,))
+    with pytest.raises(ValueError, match=r"edge \(0\.0, 1\.0, 2\.5\)"):
+        Hypergraph(5, 3, np.array([[0, 1, 2.5]]))
+
+
+@given(hypergraphs(), st.randoms(use_true_random=False))
+def test_array_and_tuple_edges_canonicalize_alike(hg, rng):
+    edges = [list(e) for e in hg.edges]
+    edges += [list(rng.choice(edges)) for _ in range(rng.randint(0, 3))] if edges else []
+    rng.shuffle(edges)
+    for e in edges:
+        rng.shuffle(e)
+    from_array = Hypergraph(hg.n, hg.r, np.array(edges, dtype=np.int64).reshape(len(edges), hg.r))
+    from_tuples = Hypergraph(hg.n, hg.r, tuple(map(tuple, edges)))
+    assert from_array == from_tuples == hg
+    for built in (from_array, from_tuples):
+        assert built.rows.dtype == np.int64 and built.rows.shape == (hg.m, hg.r)
+        assert built.rows.tolist() == [list(e) for e in built.edges]
+        assert built.incidence == _shift_incidence(built)
+    assert np.array_equal(from_array.rows, from_tuples.rows)
 
 
 def _shift_incidence(hg):
@@ -231,7 +261,7 @@ def test_parse_errors_match_line_parser(text, message):
 
 
 def test_parse_huge_header_builds_no_incidence():
-    # the bulk path would build 10**13 incidence rows; the line parser builds none
+    # incidence is built lazily for every graph, so parsing builds none of its 10**13 rows
     hg = parse_instance("p nrc 10000000000000 0 3\n")
     assert (hg.n, hg.m) == (10**13, 0)
 
@@ -294,6 +324,25 @@ def test_is_no_rainbow_rejects_bad_shapes():
     hg = Hypergraph(3, 3)
     assert not is_no_rainbow_coloring(hg, [1, 2])
     assert not is_no_rainbow_coloring(hg, [1, 2, 4])
+
+
+def test_solvers_refuse_an_invalid_certificate(monkeypatch):
+    # every solver answers through SearchOutcome.of, which checks the certificate
+    hg, bad = Hypergraph(4, 3, ((0, 1, 2),)), [1, 2, 3, 1]
+    monkeypatch.setattr(det_solver, "_root_certificate", lambda hg, stats: list(bad))
+    with pytest.raises(RuntimeError, match="internal error"):
+        det_nrc(hg)
+    monkeypatch.setattr(det_solver, "_search", lambda *args: list(bad))
+    with pytest.raises(RuntimeError, match="internal error"):
+        local_search(hg, (0, 1, 3), 1, 1)
+
+    def walks(hg, colors, frozen, rng):
+        k = len(colors)
+        return Walks(np.array([bad] * k), frozen, np.ones(k, dtype=bool), np.ones(k, dtype=np.int64))
+
+    monkeypatch.setattr(rand_solver, "lockstep_walks", walks)
+    with pytest.raises(RuntimeError, match="internal error"):
+        rand_nrc(hg)
 
 
 @given(colored_hypergraphs())

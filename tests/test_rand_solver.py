@@ -177,12 +177,11 @@ def test_walk_fallback_draws_from_reference_edge():
         ei = fallback_edge(hg, coloring, frozen)
         not_lowest += ei != first_rainbow_edge(hg, coloring)
         unfrozen = [v for v in hg.edges[ei] if v not in frozen]
-        edges = np.array(hg.edges, dtype=np.intp)
         for i, v in enumerate(unfrozen):
             colors, mask = _starts(hg.n, [coloring], [frozen])
-            rainbow, frozen_count = rand_solver._edge_state(hg.r, edges, colors, mask)
+            rainbow, frozen_count = rand_solver._edge_state(hg.r, hg.rows, colors, mask)
             rng = _PickRng(i)
-            rand_solver._recolor(hg.r, edges, colors, mask, np.arange(1), rainbow, frozen_count, rng)
+            rand_solver._recolor(hg.r, hg.rows, colors, mask, np.arange(1), rainbow, frozen_count, rng)
             assert rng.draws == [[len(unfrozen)]]
             assert np.flatnonzero(mask[0]).tolist() == sorted(frozen | {v})
     assert not_lowest > 0
