@@ -24,7 +24,7 @@ import time
 from norainbow import det_nrc, search_radius
 from norainbow.det_solver import start_count
 from norainbow.instances import gen_random
-from norainbow.oracle import oracle_decide, resolve_budget
+from norainbow.oracle import DEFAULT_BUDGET, oracle_decide
 
 
 def main() -> int:
@@ -54,7 +54,7 @@ def main() -> int:
             out = det_nrc(hg)
             dt = (time.perf_counter() - t0) * 1000
             agrees = ""
-            if args.r**n <= resolve_budget():
+            if args.r**n <= DEFAULT_BUDGET:
                 agrees = str(oracle_decide(hg).decision == out.decision)
             nodes.append(out.stats.recursion_nodes)
             per_start.append(out.stats.max_start_nodes)

@@ -2,7 +2,6 @@
 hypergraphs: a deterministic bounded-radius branching search, a randomized
 restart walk, a brute-force oracle, and instance generators."""
 
-from .bulk_parse import parse_instance
 from .det_solver import det_nrc, enumerate_initial_pairs, local_search, search_radius
 from .hypergraph import (
     COLORABLE,
@@ -14,6 +13,7 @@ from .hypergraph import (
     format_certificate,
     is_no_rainbow_coloring,
     parse_certificate,
+    parse_instance,
     write_instance,
 )
 from .instances import (

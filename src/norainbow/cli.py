@@ -15,7 +15,6 @@ import time
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .bulk_parse import parse_instance
 from .det_solver import det_nrc
 from .hypergraph import (
     COLORABLE,
@@ -24,10 +23,11 @@ from .hypergraph import (
     SearchStats,
     format_certificate,
     parse_certificate,
+    parse_instance,
     write_instance,
 )
 from .instances import InstanceSpec, planted_comment
-from .oracle import oracle_decide, oracle_verify_certificate
+from .oracle import DEFAULT_BUDGET, oracle_decide, oracle_verify_certificate
 from .rand_solver import DEFAULT_TRIAL_CAP, check_alpha, rand_nrc
 
 ALGOS = ("det", "rand", "oracle")
@@ -239,7 +239,7 @@ SOLVER_OPTIONS = {
     "--seed": dict(type=int, default=0, help="master seed for rand"),
     "--threads": dict(type=int, default=1, help="parallel workers (1 = reproducible stats)"),
     "--trial-cap": dict(type=int, default=DEFAULT_TRIAL_CAP, help="refuse rand runs needing more trials"),
-    "--budget": dict(type=int, default=None, help="oracle enumeration budget (colorings)"),
+    "--budget": dict(type=int, default=DEFAULT_BUDGET, help="oracle enumeration budget (colorings)"),
 }
 
 

@@ -20,7 +20,7 @@ import itertools
 import math
 import operator
 import time
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from .hypergraph import Hypergraph, SearchOutcome, SearchStats
 from .parallel import search_ranges
@@ -92,8 +92,18 @@ def local_search(
         raise ValueError(f"subset must be {hg.r} distinct nodes in 0..{hg.n - 1}, got {tuple(subset)}")
     if not 1 <= b <= hg.r:
         raise ValueError(f"background color {b} outside 1..{hg.r}")
-    stats = SearchStats(trials=1)
+    stats = SearchStats()
     t0 = time.perf_counter()
+    certificate = _start_search(hg, nodes, b, radius, stats, trace)
+    stats.elapsed = time.perf_counter() - t0
+    return SearchOutcome.of(hg, certificate, stats)
+
+
+def _start_search(
+    hg: Hypergraph, nodes: Sequence[int], b: int, radius: int, stats: SearchStats, trace: Optional[TraceFn] = None
+) -> Optional[list[int]]:
+    """local_search's certificate from the start (nodes, b), nodes ascending,
+    unchecked for det_nrc to check once; adds the start and its tree to stats."""
     coloring = [b] * hg.n
     frozen = [False] * hg.n
     for color, v in enumerate(nodes, 1):
@@ -102,10 +112,11 @@ def local_search(
     # touched[c - 1] per color c; b's entry is -1, all ones, so their AND skips it
     touched = [-1 if c == b else hg.incidence[v] for c, v in enumerate(nodes, 1)]
     w_edges = hg.incidence[nodes[b - 1]]
+    before = stats.recursion_nodes
     certificate = _search(hg, coloring, frozen, touched, 0, w_edges, radius, 0, stats, trace)
-    stats.elapsed = time.perf_counter() - t0
-    stats.max_start_nodes = stats.recursion_nodes
-    return SearchOutcome.of(hg, certificate, stats)
+    stats.trials += 1
+    stats.max_start_nodes = max(stats.max_start_nodes, stats.recursion_nodes - before)
+    return certificate
 
 
 def _search(
@@ -197,8 +208,7 @@ def _root_certificate(hg: Hypergraph, stats: SearchStats) -> Optional[list[int]]
 def _det_range(hg: Hypergraph, lo: int, hi: int, stats: SearchStats) -> Optional[list[int]]:
     radius = search_radius(hg.n, hg.r)
     for subset, b in itertools.islice(enumerate_initial_pairs(hg), lo, hi):
-        outcome = local_search(hg, subset, b, radius)
-        stats.absorb(outcome.stats)
-        if outcome.colorable:
-            return outcome.certificate
+        certificate = _start_search(hg, subset, b, radius, stats)
+        if certificate is not None:
+            return certificate
     return None

@@ -4,6 +4,12 @@ Nodes are 0..n-1 internally and 1..n in instance files; the Hypergraph
 constructor is the one check of every edge list, built or parsed. Colors
 are 1..r everywhere. A coloring is a plain list of ints of length n; in
 det's search it sits beside a list of n bools, True for each frozen node.
+
+parse_instance splits the text into lines once and scans them to the header
+once. A body of m lines of ASCII digits, spaces and tabs becomes one int
+array in one numpy call; every other body, and every one that call or the
+constructor rejects, is parsed line by line, to the same graph or to the
+line-numbered ParseError.
 """
 from __future__ import annotations
 
@@ -150,35 +156,66 @@ class SearchOutcome:
 # instance file format
 
 
-def parse_lines(text: str) -> Hypergraph:
-    """Parse instance text line by line: 'c' comments, a 'p nrc <n> <m> <r>'
-    header, then m lines of r space-separated 1-indexed node ids.
-    `bulk_parse.parse_instance` falls back to this for every text it does
-    not take, and for the line-numbered ParseError of every text it rejects."""
-    n = m = r = -1
-    seen_header = False
+def parse_instance(text: str) -> Hypergraph:
+    """Parse instance text: 'c' comments, a 'p nrc <n> <m> <r>' header, then
+    m lines of r space-separated 1-indexed node ids."""
+    lines = text.splitlines()
+    start, n, m, r = _header(lines)
+    # The lines are released before the conversion, to lower peak memory. A
+    # split line holds no line end, so body.split(" 0\n") gives them back.
+    count, body = len(lines) - start - 1, " 0\n".join(lines[start + 1 :])
+    del lines
+    hg = _parse_bulk(body, n, m, r) if count == m else None
+    return _parse_edge_lines(body.split(" 0\n"), start + 2, n, m, r) if hg is None else hg
+
+
+def _header(lines: list[str]) -> tuple[int, int, int, int]:
+    """The index of the header line, after blank and 'c' lines only, and its n, m and r."""
+    for i, raw in enumerate(lines):
+        tokens = raw.split()
+        if not tokens or tokens[0] == "c":
+            continue
+        if tokens[0] != "p":
+            raise ParseError(f"line {i + 1}: edge line before header")
+        if len(tokens) != 5 or tokens[1] != "nrc":
+            raise ParseError(f"line {i + 1}: malformed header {raw!r}")
+        try:
+            n, m, r = int(tokens[2]), int(tokens[3]), int(tokens[4])
+        except ValueError:
+            raise ParseError(f"line {i + 1}: malformed header {raw!r}") from None
+        if n < 0 or m < 0 or r < 2:
+            raise ParseError(f"line {i + 1}: header needs n >= 0, m >= 0, r >= 2, got {raw!r}")
+        return i, n, m, r
+    raise ParseError("missing 'p nrc' header line")
+
+
+def _parse_bulk(body: str, n: int, m: int, r: int) -> Optional[Hypergraph]:
+    """The Hypergraph of body, its m edge lines joined by a " 0" and an LF,
+    converted in one numpy call; None when a line holds anything but ASCII
+    digits, spaces and tabs, or the conversion or the constructor rejects it."""
+    data = body.encode("ascii", "replace")  # a non-ASCII character becomes "?"
+    if data.translate(None, b"0123456789 \t\n") or n >= 2**63 - 1:  # np.fromstring reads a larger id as 2**63 - 1
+        return None
+    # A 0 closes each of the m lines. With m * (r + 1) numbers, as reshape
+    # needs, and no 0 among the first r of any row, the m zeros fill the last
+    # column: r ids a line. The constructor rejects the id -1 of a misplaced 0.
+    table = np.fromstring(data + b" 0" if m else b"", dtype=np.int64, sep=" ")
+    try:
+        return Hypergraph(n, r, table.reshape(m, r + 1)[:, :r] - 1)
+    except ValueError:
+        return None
+
+
+def _parse_edge_lines(lines: list[str], first: int, n: int, m: int, r: int) -> Hypergraph:
+    """Parse the lines after the header, line `first` of the text onwards, one at
+    a time: the graph or line-numbered ParseError of a body _parse_bulk refuses."""
     edges: list[list[int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=first):
         tokens = raw.split()
         if not tokens or tokens[0] == "c":
             continue
         if tokens[0] == "p":
-            if seen_header:
-                raise ParseError(f"line {lineno}: duplicate header")
-            if len(tokens) != 5 or tokens[1] != "nrc":
-                raise ParseError(f"line {lineno}: malformed header {raw!r}")
-            try:
-                n, m, r = int(tokens[2]), int(tokens[3]), int(tokens[4])
-            except ValueError:
-                raise ParseError(f"line {lineno}: malformed header {raw!r}") from None
-            if n < 0 or m < 0 or r < 2:
-                raise ParseError(
-                    f"line {lineno}: header needs n >= 0, m >= 0, r >= 2, got {raw!r}"
-                )
-            seen_header = True
-            continue
-        if not seen_header:
-            raise ParseError(f"line {lineno}: edge line before header")
+            raise ParseError(f"line {lineno}: duplicate header")
         if len(tokens) != r:
             raise ParseError(
                 f"line {lineno}: edge of wrong size, expected {r} node ids, got {len(tokens)}"
@@ -193,8 +230,6 @@ def parse_lines(text: str) -> Hypergraph:
         if len(set(ids)) != r:
             raise ParseError(f"line {lineno}: repeated node within an edge")
         edges.append([v - 1 for v in ids])
-    if not seen_header:
-        raise ParseError("missing 'p nrc' header line")
     if len(edges) != m:
         raise ParseError(f"header declares {m} edges, found {len(edges)}")
     return Hypergraph(n, r, tuple(tuple(e) for e in edges))

@@ -12,7 +12,6 @@ cross-check every certificate any solver emits.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,7 +20,6 @@ import numpy as np
 from .hypergraph import COLORABLE, NOT_COLORABLE, Hypergraph
 
 DEFAULT_BUDGET = 10**8
-BUDGET_ENV_VAR = "NRC_ORACLE_BUDGET"
 # Cells in the suffix table (suffix colorings x (edges + 1)); sets k.
 _TABLE_CELLS = 1 << 20
 
@@ -33,19 +31,7 @@ class OracleReport:
     sample_witness: Optional[list[int]]
 
 
-def resolve_budget(budget: Optional[int] = None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
-    return DEFAULT_BUDGET
-
-
-def oracle_decide(hg: Hypergraph, budget: Optional[int] = None) -> OracleReport:
+def oracle_decide(hg: Hypergraph, budget: int = DEFAULT_BUDGET) -> OracleReport:
     """Enumerate all r^n colorings in base-r counting order (node 0 most
     significant) and count the surjective ones inducing no rainbow edge.
     The sample witness is the first in enumeration order.
@@ -57,10 +43,8 @@ def oracle_decide(hg: Hypergraph, budget: Optional[int] = None) -> OracleReport:
     nodes, in counting order, a suffix row is a witness when the two used
     masks together cover every color and no edge's two masks do.
 
-    Refuses instances needing more than the budget (parameter, else the
-    NRC_ORACLE_BUDGET environment variable, else 10^8 colorings).
+    Refuses instances needing more than the budget (default 10^8 colorings).
     """
-    budget = resolve_budget(budget)
     n, r, m = hg.n, hg.r, hg.m
     total = r**n
     if total > budget:

@@ -1,6 +1,6 @@
 """Plain reference predicates that tests compare the package against, the
-class-minimum start set det searches, the one-start walk, and the
-witness-aligned walk starts of the success-rate tests."""
+line-by-line instance parser, the class-minimum start set det searches, the
+one-start walk, and the witness-aligned walk starts of the success-rate tests."""
 from __future__ import annotations
 
 from typing import Iterable, Optional
@@ -17,6 +17,15 @@ from norainbow import (
     is_no_rainbow_coloring,
     lockstep_walks,
 )
+from norainbow.hypergraph import _header, _parse_edge_lines
+
+
+def parse_lines(text: str) -> Hypergraph:
+    """parse_instance without the bulk conversion: the header scan, then
+    every line after it parsed one at a time."""
+    lines = text.splitlines()
+    start, n, m, r = _header(lines)
+    return _parse_edge_lines(lines[start + 1 :], start + 2, n, m, r)
 
 
 def is_rainbow_edge(hg: Hypergraph, coloring: list[int], edge_index: int) -> bool:

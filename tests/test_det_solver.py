@@ -13,6 +13,7 @@ from norainbow import (
     SearchStats,
     det_nrc,
     enumerate_initial_pairs,
+    hypergraph,
     is_no_rainbow_coloring,
     local_search,
     search_radius,
@@ -198,6 +199,17 @@ def test_det_nrc_planted():
     assert out.decision == COLORABLE
     assert oracle_verify_certificate(hg, out.certificate)
     assert oracle_verify_certificate(hg, witness)
+
+
+def test_det_checks_its_certificate_once(monkeypatch):
+    # the full-radius pass certifies here; its start's search must not check it a second time
+    calls = []
+    check = hypergraph.is_no_rainbow_coloring
+    monkeypatch.setattr(hypergraph, "is_no_rainbow_coloring", lambda *args: calls.append(args) or check(*args))
+    hg, _ = gen_planted(30, 900, 3, 1)
+    out = det_nrc(hg)
+    assert out.decision == COLORABLE and first_root_certificate(hg) is None
+    assert len(calls) == 1
 
 
 def test_det_nrc_deterministic():

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from norainbow import (
     Walks,
     det_nrc,
     det_solver,
+    hypergraph,
     is_no_rainbow_coloring,
     local_search,
     parse_instance,
@@ -20,11 +22,10 @@ from norainbow import (
     rand_solver,
     write_instance,
 )
-from norainbow.bulk_parse import _parse_bulk
-from norainbow.hypergraph import parse_lines
+from norainbow.hypergraph import _parse_bulk
 from norainbow.instances import gen_complete, gen_random
 
-from reference import first_rainbow_edge, hamming, is_rainbow_edge, select_branch_edge
+from reference import first_rainbow_edge, hamming, is_rainbow_edge, parse_lines, select_branch_edge
 from strategies import colored_hypergraphs, hypergraphs
 
 
@@ -168,7 +169,8 @@ FAULTS = ("none", "header", "count", "size", "range", "repeat", "token", "commen
 @st.composite
 def instance_texts(draw):
     """write_instance text with its edge lines shuffled, the ids of each line
-    permuted and some lines repeated, then at most one fault; (text, fault)."""
+    permuted and some lines repeated, then at most one fault, and its lines
+    ended by LF, CRLF or CR; (text, fault)."""
     hg = draw(hypergraphs())
     rng = draw(st.randoms(use_true_random=False))
     rows = [line.split() for line in write_instance(hg).splitlines()[1:]]
@@ -212,15 +214,17 @@ def instance_texts(draw):
     lines = [" ".join(row) for row in rows]
     if extra is not None:
         lines.insert(rng.randint(0, len(lines)), extra)
-    return "\n".join([header, *lines]) + "\n", fault
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join([header, *lines]) + end, fault
 
 
 @given(instance_texts())
 def test_bulk_parse_matches_line_parser(case):
     text, fault = case
     assert _outcome(parse_instance, text) == _outcome(parse_lines, text)
-    if fault == "none":
-        assert _parse_bulk(text) is not None
+    if fault == "none":  # the bulk conversion takes every fault-free text
+        with mock.patch.object(hypergraph, "_parse_edge_lines", side_effect=AssertionError("line loop ran")):
+            parse_instance(text)
 
 
 @pytest.mark.parametrize(
@@ -254,6 +258,10 @@ def test_parse_texts_either_path_takes(text, n, edges):
         ("p nrc 4 1 2\n1 + 2\n", "line 2: edge of wrong size, expected 2 node ids, got 3"),
         ("p nrc 4 2 2\n1 2 0 3 4\n", "line 2: edge of wrong size, expected 2 node ids, got 5"),
         ("p nrc 4 1 3\n1 2 99999999999999999999\n", "line 2: node id out of range (got 99999999999999999999, n=4)"),
+        (  # np.fromstring would read 2**63 + 6 as 2**63 - 1, an id below this n
+            f"p nrc {2**63 - 1} 1 3\n1 2 {2**63 + 6}\n",
+            f"line 2: node id out of range (got {2**63 + 6}, n={2**63 - 1})",
+        ),
     ],
 )
 def test_parse_errors_match_line_parser(text, message):
@@ -278,8 +286,7 @@ def test_parse_dedups_without_packed_keys():
     rng = random.Random(5)
     edges = [tuple(rng.sample(range(300), 8)) for _ in range(6)]
     lines = [" ".join(str(v + 1) for v in rng.sample(e, 8)) for e in edges + edges[:2]]
-    text = f"p nrc 300 {len(lines)} 8\n" + "\n".join(lines) + "\n"
-    parsed = _parse_bulk(text)
+    parsed = _parse_bulk(" 0\n".join(lines), 300, len(lines), 8)
     hg = Hypergraph(300, 8, tuple(edges))
     assert 300**8 >= 2**63
     assert parsed == hg

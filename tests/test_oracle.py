@@ -9,13 +9,7 @@ from hypothesis import strategies as st
 from norainbow import Hypergraph, is_no_rainbow_coloring, oracle
 from norainbow.hypergraph import COLORABLE, NOT_COLORABLE
 from norainbow.instances import gen_complete, gen_random
-from norainbow.oracle import (
-    BUDGET_ENV_VAR,
-    OracleReport,
-    oracle_decide,
-    oracle_verify_certificate,
-    resolve_budget,
-)
+from norainbow.oracle import OracleReport, oracle_decide, oracle_verify_certificate
 
 from strategies import colored_hypergraphs, hypergraphs
 
@@ -67,22 +61,6 @@ def test_complete_four():
 def test_budget_refusal_states_requirement():
     with pytest.raises(ValueError, match="59049"):
         oracle_decide(Hypergraph(10, 3), budget=1000)
-
-
-def test_budget_env_var(monkeypatch):
-    monkeypatch.setenv(BUDGET_ENV_VAR, "50")
-    assert resolve_budget() == 50
-    with pytest.raises(ValueError):
-        oracle_decide(Hypergraph(4, 3))
-    monkeypatch.delenv(BUDGET_ENV_VAR)
-    assert resolve_budget() == 10**8
-
-
-def test_budget_env_var_must_be_an_integer(monkeypatch):
-    monkeypatch.setenv(BUDGET_ENV_VAR, "abc")
-    with pytest.raises(ValueError, match="^NRC_ORACLE_BUDGET must be an integer, got 'abc'$"):
-        resolve_budget()
-    assert resolve_budget(7) == 7  # an explicit budget never reads the variable
 
 
 def test_matches_naive_enumeration():
