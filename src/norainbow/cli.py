@@ -300,6 +300,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ParseError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -158,8 +158,9 @@ class SearchOutcome:
 
 def parse_instance(text: str) -> Hypergraph:
     """Parse instance text: 'c' comments, a 'p nrc <n> <m> <r>' header, then
-    m lines of r space-separated 1-indexed node ids."""
-    lines = text.splitlines()
+    m lines of r space-separated 1-indexed node ids. One leading UTF-8 byte
+    order mark, as some editors write, is dropped."""
+    lines = text.removeprefix("\ufeff").splitlines()
     start, n, m, r = _header(lines)
     # The lines are released before the conversion, to lower peak memory. A
     # split line holds no line end, so body.split(" 0\n") gives them back.
@@ -263,7 +264,11 @@ def parse_certificate(line: str) -> list[int]:
 
 def is_no_rainbow_coloring(hg: Hypergraph, coloring: list[int]) -> bool:
     """True when coloring has length n, its colors are exactly 1..r, and no
-    edge carries r distinct colors. This is exactly what solvers must certify."""
+    edge carries r distinct colors. This is exactly what solvers must certify.
+    Edges are checked by one-hot coverage: row i of an (m, r + 1) bool table
+    marks the colors of edge i, and an edge is rainbow when it marks all of 1..r."""
     if len(coloring) != hg.n or set(coloring) != set(range(1, hg.r + 1)):
         return False
-    return all(len({coloring[v] for v in e}) < hg.r for e in hg.edges)
+    hit = np.zeros((hg.m, hg.r + 1), dtype=bool)
+    hit[np.arange(hg.m)[:, None], np.asarray(coloring, dtype=np.intp)[hg.rows]] = True
+    return not hit[:, 1:].all(axis=1).any()

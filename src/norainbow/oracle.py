@@ -5,9 +5,13 @@ symmetry shortcuts. It splits the nodes into a prefix and a suffix of k
 nodes: the colors of the suffix's r^k colorings, one bit per color, are
 OR-ed once per edge into a table, and each prefix coloring is then tested
 against all of them in one vectorized pass, so that desk sizes (r=3 up to
-n=16, r=4 up to n=13) are tractable. oracle_verify_certificate is a
-deliberately naive, standalone re-statement of the definition used to
-cross-check every certificate any solver emits.
+n=16, r=4 up to n=13) are tractable.
+
+oracle_verify_certificate re-checks every certificate any solver emits
+against the definition. It is independent of the solver-side gate
+is_no_rainbow_coloring: it counts each edge's distinct colors after a sort,
+where the gate marks colors in a table, and this module imports no solver
+code or solver-side predicate.
 """
 from __future__ import annotations
 
@@ -97,12 +101,14 @@ def oracle_decide(hg: Hypergraph, budget: int = DEFAULT_BUDGET) -> OracleReport:
 
 
 def oracle_verify_certificate(hg: Hypergraph, coloring: list[int]) -> bool:
-    """Definition-level certificate check, independent of the solver-side
-    predicates: the coloring's colors are exactly the palette 1..r (it maps
-    into 1..r and uses every color), and no edge's colors are the palette."""
+    """Definition-level certificate check, a formulation of its own: the
+    coloring's colors are exactly the palette 1..r (it maps into 1..r and
+    uses every color), and no edge is rainbow, where each edge's colors are
+    sorted and an edge is rainbow when it holds r distinct values."""
     if len(coloring) != hg.n:
         raise ValueError(f"certificate length {len(coloring)} != n={hg.n}")
-    palette = set(range(1, hg.r + 1))
-    if set(coloring) != palette:
+    if set(coloring) != set(range(1, hg.r + 1)):
         return False
-    return all({coloring[v] for v in e} != palette for e in hg.edges)
+    colors = np.sort(np.asarray(coloring)[hg.rows], axis=1)
+    distinct = 1 + np.count_nonzero(colors[:, 1:] != colors[:, :-1], axis=1)
+    return not (distinct == hg.r).any()

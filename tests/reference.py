@@ -1,6 +1,7 @@
 """Plain reference predicates that tests compare the package against, the
-line-by-line instance parser, the class-minimum start set det searches, the
-one-start walk, and the witness-aligned walk starts of the success-rate tests."""
+certificate definition among them, the line-by-line instance parser, the
+class-minimum start set det searches, the one-start walk, and the
+witness-aligned walk starts of the success-rate tests."""
 from __future__ import annotations
 
 from typing import Iterable, Optional
@@ -23,7 +24,7 @@ from norainbow.hypergraph import _header, _parse_edge_lines
 def parse_lines(text: str) -> Hypergraph:
     """parse_instance without the bulk conversion: the header scan, then
     every line after it parsed one at a time."""
-    lines = text.splitlines()
+    lines = text.removeprefix("\ufeff").splitlines()
     start, n, m, r = _header(lines)
     return _parse_edge_lines(lines[start + 1 :], start + 2, n, m, r)
 
@@ -40,6 +41,14 @@ def first_rainbow_edge(hg: Hypergraph, coloring: list[int]) -> Optional[int]:
         if is_rainbow_edge(hg, coloring, ei):
             return ei
     return None
+
+
+def reference_no_rainbow(hg: Hypergraph, coloring: list[int]) -> bool:
+    """The certificate definition, one edge at a time: coloring has length
+    n, its colors are exactly 1..r, and no edge's nodes carry r distinct colors."""
+    if len(coloring) != hg.n or set(coloring) != set(range(1, hg.r + 1)):
+        return False
+    return first_rainbow_edge(hg, coloring) is None
 
 
 def hamming(a: list[int], b: list[int]) -> int:

@@ -106,6 +106,30 @@ def test_solve_parse_error(capsys, tmp_path):
     assert "node id out of range" in err
 
 
+def test_solve_reads_a_file_with_a_byte_order_mark(capsys, tmp_path):
+    plain, marked = tmp_path / "plain.nrc", tmp_path / "bom.nrc"
+    plain.write_text("p nrc 4 1 3\n1 2 4\n", encoding="utf-8")
+    marked.write_text("\ufeffp nrc 4 1 3\n1 2 4\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "solve", str(marked))
+    assert (code, out, err) == run_cli(capsys, "solve", str(plain))
+    assert (code, out.splitlines()[0], err) == (10, "s COLORABLE", "")
+
+
+@pytest.mark.parametrize(
+    "error, message",
+    [
+        (MemoryError(), "error: out of memory\n"),
+        (MemoryError("Unable to allocate 72.8 TiB"), "error: out of memory: Unable to allocate 72.8 TiB\n"),
+    ],
+)
+def test_out_of_memory_is_a_one_line_error(capsys, monkeypatch, zero_edge, error, message):
+    def exhausted(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "rand_nrc", exhausted)
+    assert run_cli(capsys, "solve", zero_edge, "--algo", "rand") == (1, "", message)
+
+
 def test_oracle_command(capsys, complete43, zero_edge):
     code, out, _ = run_cli(capsys, "oracle", complete43)
     assert code == 20

@@ -239,6 +239,7 @@ def test_bulk_parse_matches_line_parser(case):
         ("p nrc 10 1 3\n1_0 1 2\n", 10, ((0, 1, 9),)),
         ("p nrc 4 0 3\n", 4, ()),
         ("p nrc 4 0 3", 4, ()),
+        ("\ufeffp nrc 4 1 3\n1 2 4\n", 4, ((0, 1, 3),)),
     ],
 )
 def test_parse_texts_either_path_takes(text, n, edges):

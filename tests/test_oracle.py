@@ -11,6 +11,7 @@ from norainbow.hypergraph import COLORABLE, NOT_COLORABLE
 from norainbow.instances import gen_complete, gen_random
 from norainbow.oracle import OracleReport, oracle_decide, oracle_verify_certificate
 
+from reference import reference_no_rainbow
 from strategies import colored_hypergraphs, hypergraphs
 
 
@@ -132,7 +133,8 @@ def test_verify_certificate_basics():
 @given(colored_hypergraphs())
 def test_verify_agrees_with_solver_side_predicate(pair):
     hg, coloring = pair
-    assert oracle_verify_certificate(hg, coloring) == is_no_rainbow_coloring(hg, coloring)
+    expected = reference_no_rainbow(hg, coloring)
+    assert oracle_verify_certificate(hg, coloring) == is_no_rainbow_coloring(hg, coloring) == expected
 
 
 @settings(max_examples=200)
@@ -142,4 +144,53 @@ def test_verify_agrees_with_solver_side_predicate(pair):
 def test_verify_agrees_beyond_the_palette(pair):
     # colors 0 and r+1 fall outside the palette, and most draws miss a color
     hg, coloring = pair
-    assert oracle_verify_certificate(hg, coloring) == is_no_rainbow_coloring(hg, coloring)
+    expected = reference_no_rainbow(hg, coloring)
+    assert oracle_verify_certificate(hg, coloring) == is_no_rainbow_coloring(hg, coloring) == expected
+
+
+@st.composite
+def colorings_to_check(draw):
+    """A hypergraph with r up to 5 or near 64, and a coloring of it. Most
+    colorings use every color of 1..r, and half of the graphs are drawn from
+    the edges that coloring leaves unrainbow. The other colorings miss a color,
+    hold one off the palette (0, r + 1, negative, beyond int64) or have the
+    wrong length."""
+    r = draw(st.sampled_from([2, 3, 4, 5, 63, 64, 66]))
+    n = draw(st.integers(r, 9 if r <= 5 else r + 2))
+    fill = draw(st.lists(st.integers(1, r), min_size=n - r, max_size=n - r))
+    coloring = list(draw(st.permutations([*range(1, r + 1), *fill])))
+    pool = list(itertools.combinations(range(n), r))
+    if draw(st.booleans()):
+        pool = [e for e in pool if len({coloring[v] for v in e}) < r] or pool
+    hg = Hypergraph(n, r, tuple(draw(st.lists(st.sampled_from(pool), max_size=12))))
+    kind = draw(st.sampled_from(["surjective", "surjective", "missing", "off palette", "length"]))
+    if kind == "missing":
+        gone = draw(st.integers(1, r))
+        coloring = [gone % r + 1 if c == gone else c for c in coloring]
+    elif kind == "off palette":
+        coloring[draw(st.integers(0, n - 1))] = draw(st.sampled_from([0, r + 1, -1, -r, 2**64, -(2**70)]))
+    elif kind == "length":
+        coloring = coloring[:-1] if draw(st.booleans()) else [*coloring, 1]
+    return hg, coloring
+
+
+@settings(max_examples=400)
+@given(colorings_to_check())
+def test_both_checks_match_the_reference(pair):
+    # the two checks are two formulations; each must agree with the plain definition
+    hg, coloring = pair
+    expected = reference_no_rainbow(hg, coloring)
+    assert is_no_rainbow_coloring(hg, coloring) == expected
+    if len(coloring) != hg.n:
+        with pytest.raises(ValueError, match="certificate length"):
+            oracle_verify_certificate(hg, coloring)
+    else:
+        assert oracle_verify_certificate(hg, coloring) == expected
+
+
+@pytest.mark.parametrize("check", [is_no_rainbow_coloring, oracle_verify_certificate, reference_no_rainbow])
+def test_checks_past_64_colors(check):
+    # one edge of 70 nodes: a color bit 1 << c would overflow an int64 mask
+    hg = Hypergraph(71, 70, (tuple(range(70)),))
+    assert check(hg, [*range(1, 70), 1, 70])
+    assert not check(hg, [*range(1, 71), 1])
