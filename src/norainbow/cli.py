@@ -50,9 +50,13 @@ CSV_HEADER = [
 ]
 
 
+def _read_text(path: str) -> str:
+    """The file at path, or stdin for -, decoded as UTF-8 whatever the locale."""
+    return (sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()).decode("utf-8")
+
+
 def _read_instance(path: str) -> Hypergraph:
-    text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    return parse_instance(text)
+    return parse_instance(_read_text(path))
 
 
 def _write_output(text: str, out: Optional[str]) -> None:
@@ -70,10 +74,8 @@ def _solve_with(hg: Hypergraph, algo: str, args, seed: int) -> tuple[str, Option
     elif algo == "rand":
         outcome = rand_nrc(hg, alpha=args.alpha, master_seed=seed, cap=args.trial_cap, workers=args.threads)
     else:
-        t0 = time.perf_counter()
         report = oracle_decide(hg, budget=args.budget)
-        elapsed = time.perf_counter() - t0
-        stats = SearchStats(recursion_nodes=hg.r**hg.n, trials=report.witness_count, elapsed=elapsed)
+        stats = SearchStats(recursion_nodes=hg.r**hg.n, trials=report.witness_count)
         return report.decision, report.sample_witness, stats
     return outcome.decision, outcome.certificate, outcome.stats
 
@@ -94,11 +96,12 @@ def _answer(hg: Hypergraph, decision: str, certificate: Optional[list[int]], yes
 
 def cmd_solve(args) -> int:
     hg = _read_instance(args.path)
+    t0 = time.perf_counter()
     decision, certificate, stats = _solve_with(hg, args.algo, args, args.seed)
     if args.stats:
         print(
             f"c stats nodes={stats.recursion_nodes} fallback={stats.fallback_nodes} "
-            f"trials={stats.trials} ms={stats.elapsed * 1000:.3f}"
+            f"trials={stats.trials} ms={(time.perf_counter() - t0) * 1000:.3f}"
         )
     return _answer(hg, decision, certificate, "COLORABLE", "UNCOLORABLE")
 
@@ -122,16 +125,13 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     hg = _read_instance(args.instance)
-    cert_text = sys.stdin.read() if args.certificate == "-" else Path(args.certificate).read_text()
     coloring = None
-    for line in cert_text.splitlines():
+    for line in _read_text(args.certificate).splitlines():
         if line.split()[:1] == ["v"]:
             coloring = parse_certificate(line)
             break
     if coloring is None:
         raise ValueError("no 'v' certificate line found")
-    if len(coloring) != hg.n:
-        raise ValueError(f"certificate has {len(coloring)} colors, instance has {hg.n} nodes")
     if oracle_verify_certificate(hg, coloring):
         print("s VALID")
         return 0
@@ -195,10 +195,11 @@ def _bench_row(instance_id: str, hg: Hypergraph, algo: str, seed: int, args) -> 
     t0 = time.perf_counter()
     try:
         decision, _, stats = _solve_with(hg, algo, args, seed)
-        outcome = [decision, stats.recursion_nodes, stats.trials, f"{stats.elapsed * 1000:.3f}", ""]
+        outcome, error = [decision, stats.recursion_nodes, stats.trials], ""
     except (ValueError, RuntimeError) as exc:
-        outcome = ["", "", "", f"{(time.perf_counter() - t0) * 1000:.3f}", str(exc)]
-    return [instance_id, hg.n, hg.m, hg.r, algo, seed, args.alpha if algo == "rand" else "", *outcome]
+        outcome, error = ["", "", ""], str(exc)
+    ms = f"{(time.perf_counter() - t0) * 1000:.3f}"
+    return [instance_id, hg.n, hg.m, hg.r, algo, seed, args.alpha if algo == "rand" else "", *outcome, ms, error]
 
 
 def cmd_bench(args) -> int:

@@ -6,8 +6,9 @@ unfrozen node of a nearly-frozen rainbow edge per level, freezing it, until
 it either proves the start hopeless or can exhibit a certificate. The
 radius bound keeps each start's tree at most (r-1)-ary of bounded depth.
 
-Recolored nodes never return to b, so the search carries per-color edge
-bit sets down the tree: O(r) bit set operations per node, whatever n.
+Recolored nodes never return to b, so the colors alone say which nodes are
+frozen, and the search carries per-color edge bit sets down the tree: O(r)
+bit set operations per node, whatever n.
 
 det_nrc searches only the starts whose subset holds node 0: a witness
 relabelled by its class minima is reached from one of them. It tests each
@@ -19,13 +20,12 @@ import functools
 import itertools
 import math
 import operator
-import time
 from typing import Callable, Iterator, Optional, Sequence
 
 from .hypergraph import Hypergraph, SearchOutcome, SearchStats
 from .parallel import search_ranges
 
-TraceFn = Callable[[int, list[int], list[bool]], None]
+TraceFn = Callable[[int, list[int]], None]
 
 
 def search_radius(n: int, r: int) -> int:
@@ -73,15 +73,16 @@ def local_search(
     the other r-1 colors, freeze it, and recurse with one less budget.
 
     Recolored nodes are frozen at once, so every unfrozen node keeps b and
-    the subset's node w is the only frozen node colored b. The search
-    carries touched, per color c != b the edges its nodes meet, and dup,
-    the edges two nodes of one such color share. An edge has r nodes, so
-    it is rainbow when it is in every touched set but not in dup, and a
-    fully frozen rainbow edge when it is in every touched set and holds w.
-    Once no rainbow edge is fully frozen, each has exactly one unfrozen
-    node, and the tree is (r-1)-ary. trace, when given, is called as
-    trace(depth, coloring, frozen) at every node with the live list of
-    colors and list of frozen flags, which the search goes on to mutate.
+    the subset's node w is the only frozen node colored b: a node is frozen
+    exactly when its color is not b or it is w. The search carries touched,
+    per color c != b the edges its nodes meet, and dup, the edges two nodes
+    of one such color share. An edge has r nodes, so it is rainbow when it
+    is in every touched set but not in dup, and a fully frozen rainbow edge
+    when it is in every touched set and holds w. Once no rainbow edge is
+    fully frozen, each has exactly one unfrozen node, its node colored b,
+    and the tree is (r-1)-ary. trace, when given, is called as
+    trace(depth, coloring) at every node with the live list of colors,
+    which the search goes on to mutate.
     Raises ValueError unless radius >= 0, the subset is r distinct nodes
     of 0..n-1 and b is in 1..r.
     """
@@ -93,9 +94,7 @@ def local_search(
     if not 1 <= b <= hg.r:
         raise ValueError(f"background color {b} outside 1..{hg.r}")
     stats = SearchStats()
-    t0 = time.perf_counter()
     certificate = _start_search(hg, nodes, b, radius, stats, trace)
-    stats.elapsed = time.perf_counter() - t0
     return SearchOutcome.of(hg, certificate, stats)
 
 
@@ -105,15 +104,13 @@ def _start_search(
     """local_search's certificate from the start (nodes, b), nodes ascending,
     unchecked for det_nrc to check once; adds the start and its tree to stats."""
     coloring = [b] * hg.n
-    frozen = [False] * hg.n
     for color, v in enumerate(nodes, 1):
         coloring[v] = color
-        frozen[v] = True
     # touched[c - 1] per color c; b's entry is -1, all ones, so their AND skips it
     touched = [-1 if c == b else hg.incidence[v] for c, v in enumerate(nodes, 1)]
     w_edges = hg.incidence[nodes[b - 1]]
     before = stats.recursion_nodes
-    certificate = _search(hg, coloring, frozen, touched, 0, w_edges, radius, 0, stats, trace)
+    certificate = _search(hg, coloring, b, touched, 0, w_edges, radius, 0, stats, trace)
     stats.trials += 1
     stats.max_start_nodes = max(stats.max_start_nodes, stats.recursion_nodes - before)
     return certificate
@@ -122,7 +119,7 @@ def _start_search(
 def _search(
     hg: Hypergraph,
     coloring: list[int],
-    frozen: list[bool],
+    b: int,
     touched: list[int],
     dup: int,
     w_edges: int,
@@ -133,7 +130,7 @@ def _search(
 ) -> Optional[list[int]]:
     stats.recursion_nodes += 1
     if trace is not None:
-        trace(depth, coloring, frozen)
+        trace(depth, coloring)
     covered = functools.reduce(operator.and_, touched)
     rainbow = covered & ~dup
     if not rainbow:
@@ -141,24 +138,21 @@ def _search(
     if budget == 0 or covered & w_edges:
         return None
     edge = hg.edges[(rainbow & -rainbow).bit_length() - 1]
-    v = next(u for u in edge if not frozen[u])
+    v = next(u for u in edge if coloring[u] == b)
     inc = hg.incidence[v]
-    old = coloring[v]
-    frozen[v] = True
     for color in range(1, hg.r + 1):
-        if color == old:
+        if color == b:
             continue
         coloring[v] = color
         before = touched[color - 1]
         touched[color - 1] = before | inc
         found = _search(
-            hg, coloring, frozen, touched, dup | (before & inc), w_edges, budget - 1, depth + 1, stats, trace
+            hg, coloring, b, touched, dup | (before & inc), w_edges, budget - 1, depth + 1, stats, trace
         )
         touched[color - 1] = before
         if found is not None:
             return found
-    coloring[v] = old
-    frozen[v] = False
+    coloring[v] = b
     return None
 
 
@@ -177,31 +171,25 @@ def det_nrc(hg: Hypergraph, workers: int = 1) -> SearchOutcome:
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    t0 = time.perf_counter()
     stats = SearchStats()
     certificate = None
     if hg.n >= hg.r:
         certificate = _root_certificate(hg, stats)
         if certificate is None:
             certificate = search_ranges(hg, _det_range, start_count(hg.n, hg.r), workers, stats)
-    stats.elapsed = time.perf_counter() - t0
     return SearchOutcome.of(hg, certificate, stats)
 
 
 def _root_certificate(hg: Hypergraph, stats: SearchStats) -> Optional[list[int]]:
-    """The first root coloring with no rainbow edge, counted in stats as
-    local_search counts it, or None. Relabelled by its class minima, a root
-    is the root of a start whose subset holds node 0, so the first
-    start_count(n, r) starts suffice. Only the subset's r-1 nodes not colored
-    b differ from b, so a rainbow edge must contain all of them."""
+    """The first root coloring with no rainbow edge, found by that start's
+    radius-0 search, which counts it in stats, or None. Relabelled by its
+    class minima, a root is the root of a start whose subset holds node 0, so
+    the first start_count(n, r) starts suffice. Only the subset's r-1 nodes
+    not colored b differ from b, so a rainbow edge must contain all of them."""
     inc = hg.incidence
     for subset, b in itertools.islice(enumerate_initial_pairs(hg), start_count(hg.n, hg.r)):
         if not functools.reduce(operator.and_, [inc[v] for c, v in enumerate(subset, 1) if c != b]):
-            coloring = [b] * hg.n
-            for color, v in enumerate(subset, 1):
-                coloring[v] = color
-            stats.absorb(SearchStats(recursion_nodes=1, trials=1, max_start_nodes=1))
-            return coloring
+            return _start_search(hg, subset, b, 0, stats)
     return None
 
 

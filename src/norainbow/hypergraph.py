@@ -2,8 +2,8 @@
 
 Nodes are 0..n-1 internally and 1..n in instance files; the Hypergraph
 constructor is the one check of every edge list, built or parsed. Colors
-are 1..r everywhere. A coloring is a plain list of ints of length n; in
-det's search it sits beside a list of n bools, True for each frozen node.
+are 1..r everywhere. A coloring is a plain list of ints of length n; it is
+the whole state of det's search, whose frozen nodes follow from the colors.
 
 parse_instance splits the text into lines once and scans them to the header
 once. A body of m lines of ASCII digits, spaces and tabs becomes one int
@@ -86,10 +86,6 @@ class Hypergraph:
         return len(self.edges)
 
     @functools.cached_property
-    def edge_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(self.edges)
-
-    @functools.cached_property
     def incidence(self) -> tuple[int, ...]:
         """Per node, the bit set of the edges that contain it: bit i is edge
         i. Bits are set in one little-endian byte row per node, converted to
@@ -105,7 +101,7 @@ class Hypergraph:
 
 @dataclass
 class SearchStats:
-    """Work counters for one solver run.
+    """Work counters for one solver run; the caller times the run.
 
     trials counts the starts searched: det's full-radius starts, all in its
     prefix of starts whose subset holds node 0, or the one root of its
@@ -122,7 +118,6 @@ class SearchStats:
     fallback_nodes: int = 0
     trials: int = 0
     max_start_nodes: int = 0
-    elapsed: float = 0.0
 
     def absorb(self, other: "SearchStats") -> None:
         self.recursion_nodes += other.recursion_nodes

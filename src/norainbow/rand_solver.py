@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import time
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -173,7 +172,6 @@ def rand_nrc(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     check_alpha(alpha)
-    t0 = time.perf_counter()
     stats = SearchStats()
     if hg.n < hg.r:
         certificate = None
@@ -182,14 +180,14 @@ def rand_nrc(
     else:
         range_fn = functools.partial(_rand_range, master_seed=master_seed)
         certificate = search_ranges(hg, range_fn, trial_count(hg.n, hg.r, alpha, cap), workers, stats)
-    stats.elapsed = time.perf_counter() - t0
     return SearchOutcome.of(hg, certificate, stats)
 
 
 def _rand_range(hg: Hypergraph, lo: int, hi: int, stats: SearchStats, master_seed: int) -> Optional[list[int]]:
     """Run restart rounds lo..hi-1. Each round counts all C(n, r) subsets as
     trials and walks from the K that are not edges, as one lockstep batch."""
-    starts = [s for s in itertools.combinations(range(hg.n), hg.r) if s not in hg.edge_set]
+    edges = set(hg.edges)
+    starts = [s for s in itertools.combinations(range(hg.n), hg.r) if s not in edges]
     rows = np.arange(len(starts))[:, None]
     starts = np.array(starts, dtype=np.intp).reshape(len(starts), hg.r)
     frozen = np.zeros((len(starts), hg.n), dtype=bool)

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import io
+import os
 import re
 import subprocess
 import sys
@@ -115,6 +116,26 @@ def test_solve_reads_a_file_with_a_byte_order_mark(capsys, tmp_path):
     assert (code, out.splitlines()[0], err) == (10, "s COLORABLE", "")
 
 
+def test_input_is_read_as_utf8_whatever_the_locale(tmp_path):
+    # under the C locale with UTF-8 mode and locale coercion off, the default
+    # text encoding is ASCII; the instance and certificate are still UTF-8
+    marked = tmp_path / "bom.nrc"
+    marked.write_bytes("\ufeffp nrc 4 1 3\n1 2 4\n".encode("utf-8"))
+    src = str(Path(norainbow.__file__).resolve().parents[1])
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "PYTHONPATH": src}
+
+    def nrc(*argv, stdin=b""):
+        return subprocess.run([sys.executable, "-m", "norainbow.cli", *argv], input=stdin, capture_output=True, env=env)
+
+    by_path = nrc("solve", str(marked))
+    assert (by_path.returncode, by_path.stderr) == (10, b"")
+    assert by_path.stdout.splitlines()[0] == b"s COLORABLE"
+    by_stdin = nrc("solve", "-", stdin=marked.read_bytes())
+    assert (by_stdin.returncode, by_stdin.stdout, by_stdin.stderr) == (10, by_path.stdout, b"")
+    verified = nrc("verify", str(marked), "-", stdin=by_path.stdout)
+    assert (verified.returncode, verified.stdout, verified.stderr) == (0, b"s VALID\n", b"")
+
+
 @pytest.mark.parametrize(
     "error, message",
     [
@@ -181,6 +202,9 @@ def test_verify_command(capsys, tmp_path, planted):
     cert.write_text("v 1 1 1 1 1 1 1 1\n")
     code, out, _ = run_cli(capsys, "verify", planted, str(cert))
     assert (code, out.strip()) == (1, "s INVALID")
+    cert.write_text("v 1 2 3\n")
+    code, out, err = run_cli(capsys, "verify", planted, str(cert))
+    assert (code, out, err) == (1, "", "error: certificate length 3 != n=8\n")
 
 
 def test_decisive(capsys, tmp_path):

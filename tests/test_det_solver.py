@@ -122,9 +122,11 @@ def test_trace_invariants():
         initial = [b] * hg.n
         for color, v in enumerate(subset, start=1):
             initial[v] = color
+        w = subset[b - 1]
         seen = []
 
-        def watch(depth, coloring, frozen):
+        def watch(depth, coloring):
+            frozen = [c != b or v == w for v, c in enumerate(coloring)]
             seen.append(depth)
             assert depth <= g
             assert hamming(initial, coloring) == depth
@@ -143,7 +145,7 @@ def test_unsat_standard_nodes_have_r_minus_1_children():
     g = search_radius(hg.n, hg.r)
     for start in list(enumerate_initial_pairs(hg))[:8]:
         trace = []
-        local_search(hg, *start, g, trace=lambda d, c, f: trace.append(d))
+        local_search(hg, *start, g, trace=lambda d, c: trace.append(d))
         children = [0] * len(trace)
         stack = []
         for i, depth in enumerate(trace):
@@ -170,12 +172,20 @@ def test_unsat_standard_nodes_have_r_minus_1_children():
 )
 def test_local_search_matches_reference_search(hg):
     # the carried per-color edge sets pick the same node, branch and exit at
-    # every search node as a search that re-evaluates each node from scratch
+    # every search node as a search that re-evaluates each node from scratch;
+    # det's frozen flags, derived from its colors (a node is frozen when its
+    # color is not b or it is the subset's b node w), match the frozen set
+    # the reference tracks on its own
     g = search_radius(hg.n, hg.r)
     for subset, b in enumerate_initial_pairs(hg):
         certificate, expected = reference_det_search(hg, subset, b, g)
+        w = subset[b - 1]
         trace = []
-        out = local_search(hg, subset, b, g, trace=lambda d, c, f: trace.append((d, list(c), list(f))))
+
+        def record(depth, coloring):
+            trace.append((depth, list(coloring), [c != b or v == w for v, c in enumerate(coloring)]))
+
+        out = local_search(hg, subset, b, g, trace=record)
         assert trace == expected, (subset, b)
         assert out.certificate == certificate
         assert out.decision == (NOT_COLORABLE if certificate is None else COLORABLE)
