@@ -1,9 +1,9 @@
 """r-uniform hypergraphs, colorings, and the certificate predicate every solver shares.
 
 Nodes are 0..n-1 internally and 1..n in instance files; the Hypergraph
-constructor is the one check of every edge list, built or parsed. Colors
-are 1..r everywhere. A coloring is a plain list of ints of length n; it is
-the whole state of det's search, whose frozen nodes follow from the colors.
+constructor checks every edge list, built or parsed, into the one stored
+form, the array rows. Colors are 1..r. A coloring, a list of n ints, is
+the whole state of det's search; its frozen nodes follow from the colors.
 
 parse_instance splits the text into lines once and scans them to the header
 once. A body of m lines of ASCII digits, spaces and tabs becomes one int
@@ -28,26 +28,25 @@ class ParseError(ValueError):
     """Malformed instance text; the message names the offending line."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hypergraph:
-    """Immutable r-uniform hypergraph.
+    """Immutable r-uniform hypergraph, stored as its edge array rows.
 
     Edges, given as a sequence of tuples or as an (m, r) int array, are
     checked and canonicalized on construction: each edge sorted ascending,
-    the edge list sorted lexicographically, duplicates dropped. m always
-    counts unique edges, and rows holds them as a read-only (m, r) int64
-    array, row i being edges[i]. An edge of the wrong size, or with an id
-    that is not a 64-bit integer, outside 0..n-1 or repeated, is a ValueError
-    naming it.
+    the edge list sorted lexicographically, duplicates dropped. rows holds
+    the result as a read-only (m, r) int64 array, and m counts its unique
+    edges. An edge of the wrong size, or with an id that is not a 64-bit
+    integer, outside 0..n-1 or repeated, is a ValueError naming it. Two
+    graphs are equal when n, r and rows are; a graph is not hashable.
     """
 
     n: int
     r: int
-    edges: tuple[tuple[int, ...], ...] = ()
-    rows: np.ndarray = field(init=False, repr=False, compare=False)
+    rows: np.ndarray = ()
 
     def __post_init__(self):
-        n, r, edges = self.n, self.r, self.edges
+        n, r, edges = self.n, self.r, self.rows
         if r < 2:
             raise ValueError(f"uniformity r must be >= 2, got {r}")
         if n < 0:
@@ -79,18 +78,25 @@ class Hypergraph:
             rows = np.unique(rows, axis=0)
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "edges", tuple(zip(*rows.T.tolist())))
+
+    def __eq__(self, other):  # the shape (m, r) of rows carries r
+        return isinstance(other, Hypergraph) and self.n == other.n and np.array_equal(self.rows, other.rows)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.rows)
+
+    @functools.cached_property
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        """The edges as a tuple of sorted node tuples, edges[i] being row i; built on first read."""
+        return tuple(zip(*self.rows.T.tolist()))
 
     @functools.cached_property
     def incidence(self) -> tuple[int, ...]:
-        """Per node, the bit set of the edges that contain it: bit i is edge
-        i. Bits are set in one little-endian byte row per node, converted to
-        an int once: OR-ing 1 << i into a growing int would copy it per
-        edge, O(m^2/64)."""
+        """Per node, the bit set of the edges that contain it, bit i being
+        row i; built from rows on first read. Bits are set in one
+        little-endian byte row per node, converted to an int once: OR-ing
+        1 << i into a growing int would copy it per edge, O(m^2/64)."""
         width = (self.m + 7) // 8
         edge = np.arange(self.m)
         bits = np.zeros(self.n * width, np.uint8)
@@ -228,15 +234,13 @@ def _parse_edge_lines(lines: list[str], first: int, n: int, m: int, r: int) -> H
         edges.append([v - 1 for v in ids])
     if len(edges) != m:
         raise ParseError(f"header declares {m} edges, found {len(edges)}")
-    return Hypergraph(n, r, tuple(tuple(e) for e in edges))
+    return Hypergraph(n, r, edges)
 
 
 def write_instance(hg: Hypergraph) -> str:
     """Serialize to the instance format; parse_instance(write_instance(h)) == h."""
-    lines = [f"p nrc {hg.n} {hg.m} {hg.r}"]
-    for e in hg.edges:
-        lines.append(" ".join(str(v + 1) for v in e))
-    return "\n".join(lines) + "\n"
+    ids = (hg.rows.astype(np.uint64) + 1).ravel().tolist()  # 1-based; int64 would wrap the id 2**63
+    return f"p nrc {hg.n} {hg.m} {hg.r}\n" + ((" ".join(["%d"] * hg.r) + "\n") * hg.m) % tuple(ids)
 
 
 def format_certificate(coloring: Iterable[int]) -> str:

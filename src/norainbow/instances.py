@@ -51,14 +51,12 @@ def gen_random(n: int, m: int, r: int, seed: int) -> Hypergraph:
         raise ValueError(f"m={m} exceeds the {limit} distinct r-subsets of {n} nodes")
     rng = random.Random(seed)
     if limit <= _ENUMERATE_LIMIT:
-        population = list(itertools.combinations(range(n), r))
-        edges = rng.sample(population, m)
+        edges = rng.sample(list(itertools.combinations(range(n), r)), m)
     else:
-        chosen: set[tuple[int, ...]] = set()
-        while len(chosen) < m:
-            chosen.add(tuple(sorted(rng.sample(range(n), r))))
-        edges = sorted(chosen)
-    return Hypergraph(n, r, tuple(edges))
+        edges = set()
+        while len(edges) < m:
+            edges.add(tuple(sorted(rng.sample(range(n), r))))
+    return Hypergraph(n, r, edges)
 
 
 def gen_planted(n: int, m: int, r: int, seed: int) -> tuple[Hypergraph, list[int]]:
@@ -93,7 +91,7 @@ def gen_planted(n: int, m: int, r: int, seed: int) -> tuple[Hypergraph, list[int
                 )
             continue
         chosen.add(edge)
-    return Hypergraph(n, r, tuple(sorted(chosen))), witness
+    return Hypergraph(n, r, chosen), witness
 
 
 def gen_complete(n: int, r: int) -> Hypergraph:
@@ -101,7 +99,7 @@ def gen_complete(n: int, r: int) -> Hypergraph:
     has one node of each color, and that r-set is a rainbow edge."""
     if n < r:
         raise ValueError(f"need n >= r, got n={n}, r={r}")
-    return Hypergraph(n, r, tuple(itertools.combinations(range(n), r)))
+    return Hypergraph(n, r, itertools.combinations(range(n), r))
 
 
 def planted_comment(witness: list[int]) -> str:

@@ -34,9 +34,10 @@ def trial_count(n: int, r: int, alpha: float, cap: int = DEFAULT_TRIAL_CAP) -> i
     if r < 2 or n < r:
         raise ValueError(f"need n >= r >= 2, got n={n}, r={r}")
     check_alpha(alpha)
-    count = math.ceil(Fraction(str(alpha)) * Fraction(r, 2) ** n)
-    if count > cap:
-        raise ValueError(f"trial count {count} exceeds cap {cap}; raise the cap to proceed")
+    # (r/2)^n = 2^(n (log2 r - 1)) alone above the cap is refused before the exact power
+    too_many = r > 2 and n > (cap.bit_length() + 1) / (math.log2(r) - 1)
+    if too_many or (count := math.ceil(Fraction(str(alpha)) * Fraction(r, 2) ** n)) > cap:
+        raise ValueError(f"trial count ceil({alpha} * ({r}/2)^{n}) exceeds cap {cap}; raise the cap to proceed")
     return count
 
 

@@ -319,6 +319,15 @@ def test_solve_rand_alpha_checked_on_degenerate_inputs(capsys, tmp_path):
             assert err == f"error: {message}\n"
 
 
+def test_solve_rand_refuses_a_huge_trial_count(capsys, tmp_path):
+    # (3/2)^30000 has 5,283 digits, beyond Python's int-to-str limit: the error names no count
+    path = tmp_path / "big.nrc"
+    path.write_text("p nrc 30000 1 3\n1 2 3\n")
+    code, out, err = run_cli(capsys, "solve", str(path), "--algo", "rand")
+    assert (code, out) == (1, "")
+    assert err == "error: trial count ceil(2.0 * (3/2)^30000) exceeds cap 1000000; raise the cap to proceed\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

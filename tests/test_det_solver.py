@@ -211,6 +211,15 @@ def test_det_nrc_planted():
     assert oracle_verify_certificate(hg, witness)
 
 
+def test_det_root_sweep_builds_no_tuple_view():
+    # a root certificate needs only incidence and rows; the branch pick reads edges
+    hg, _ = gen_planted(30, 900, 3, 0)
+    assert det_nrc(hg).stats.recursion_nodes == 1
+    assert "edges" not in vars(hg)
+    branchy = gen_random(6, 12, 3, 6)  # BRANCHY_UNSAT, unread
+    assert det_nrc(branchy).stats.recursion_nodes > 1 and "edges" in vars(branchy)
+
+
 def test_det_checks_its_certificate_once(monkeypatch):
     # the full-radius pass certifies here; its start's search must not check it a second time
     calls = []

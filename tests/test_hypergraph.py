@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 import re
 from unittest import mock
@@ -23,7 +24,7 @@ from norainbow import (
     write_instance,
 )
 from norainbow.hypergraph import _parse_bulk
-from norainbow.instances import gen_complete, gen_random
+from norainbow.instances import gen_complete, gen_planted, gen_random
 
 from reference import first_rainbow_edge, hamming, is_rainbow_edge, parse_lines, select_branch_edge
 from strategies import colored_hypergraphs, hypergraphs
@@ -69,6 +70,52 @@ def test_array_and_tuple_edges_canonicalize_alike(hg, rng):
         assert built.rows.tolist() == [list(e) for e in built.edges]
         assert built.incidence == _shift_incidence(built)
     assert np.array_equal(from_array.rows, from_tuples.rows)
+
+
+GRAPHS = {
+    "bulk parse": lambda: parse_instance("p nrc 5 3 3\n3 1 2\n2 4 5\n1 2 3\n"),
+    "line parse": lambda: parse_instance("p nrc 5 3 3\n3 1 2\nc mid\n2 4 5\n1 2 3\n"),
+    "array": lambda: Hypergraph(5, 3, np.array([[2, 0, 1], [1, 3, 4]])),
+    "tuples": lambda: Hypergraph(5, 3, ((2, 0, 1), (1, 3, 4))),
+    "random": lambda: gen_random(9, 20, 3, 1),
+    "random, rejection-sampled": lambda: gen_random(200, 50, 3, 1),
+    "planted": lambda: gen_planted(9, 20, 3, 1)[0],
+    "complete": lambda: gen_complete(6, 3),
+}
+
+
+@pytest.mark.parametrize("name", GRAPHS)
+def test_a_graph_stores_its_edges_once(name):
+    with mock.patch.object(hypergraph, "_parse_edge_lines", wraps=hypergraph._parse_edge_lines) as line_parse:
+        hg = GRAPHS[name]()
+    assert line_parse.called == (name == "line parse")
+    assert "edges" not in vars(hg) and "incidence" not in vars(hg)
+    assert hg.edges == tuple(map(tuple, hg.rows.tolist()))
+    assert "edges" in vars(hg)
+
+
+def test_equality_is_by_value_and_survives_pickling():
+    edges = ((2, 0, 1), (1, 3, 4), (0, 2, 4))
+    hg = Hypergraph(5, 3, edges)
+    copy = pickle.loads(pickle.dumps(hg))  # as a --threads task carries it
+    assert "edges" not in vars(copy)
+    assert hg == Hypergraph(5, 3, np.array(edges)) == copy
+    assert hg.edges == copy.edges
+    assert "edges" in vars(pickle.loads(pickle.dumps(hg)))  # a view once built travels with the graph
+    assert Hypergraph(5, 3) == Hypergraph(5, 3, np.zeros((0, 3), dtype=np.int64))
+    for other in (
+        Hypergraph(6, 3, edges),
+        Hypergraph(5, 3, edges[:2] + ((0, 1, 3),)),
+        Hypergraph(5, 3, edges[:2]),
+        Hypergraph(5, 4, ((0, 1, 2, 3),)),
+    ):
+        assert hg != other
+    assert Hypergraph(5, 3) != Hypergraph(5, 4)
+    assert Hypergraph(5, 3) != Hypergraph(6, 3)
+    assert hg != edges
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(hg)
+    assert "[1, 3, 4]" in repr(hg)  # hypothesis prints the edges of a falsifying graph
 
 
 def _shift_incidence(hg):
@@ -132,6 +179,12 @@ def test_write_single_edge():
 
 def test_write_zero_edges():
     assert write_instance(Hypergraph(5, 4)) == "p nrc 5 0 4\n"
+
+
+def test_write_keeps_the_largest_id():
+    hg = Hypergraph(2**64, 2, ((0, 2**63 - 1),))
+    assert write_instance(hg) == f"p nrc {2**64} 1 2\n1 {2**63}\n"
+    assert parse_instance(write_instance(hg)) == hg
 
 
 def test_roundtrip_generated_corpus():
@@ -270,9 +323,11 @@ def test_parse_errors_match_line_parser(text, message):
 
 
 def test_parse_huge_header_builds_no_incidence():
-    # incidence is built lazily for every graph, so parsing builds none of its 10**13 rows
+    # incidence and the tuple view are built lazily for every graph, so
+    # parsing builds none of the 10**13 rows of incidence
     hg = parse_instance("p nrc 10000000000000 0 3\n")
     assert (hg.n, hg.m) == (10**13, 0)
+    assert "incidence" not in vars(hg) and "edges" not in vars(hg)
 
 
 def test_parse_at_scale_matches_generator():

@@ -55,6 +55,27 @@ def test_trial_count_guards():
     assert trial_count(40, 3, 2.0, cap=10**8) == -(-(3**40) // 2**39) == 22114665
 
 
+def test_trial_count_refuses_a_huge_n_before_the_exact_power():
+    # the exact (3/2)^(10^7) has about 1.76 million digits; the cap error comes first
+    with pytest.raises(ValueError, match=r"^trial count ceil\(2\.0 \* \(3/2\)\^10000000\) exceeds cap 1000000;"):
+        trial_count(10**7, 3, 2.0)
+    for cap in (0, -5):
+        with pytest.raises(ValueError, match=f"exceeds cap {cap};"):
+            trial_count(4, 3, 1.1, cap=cap)
+
+
+def test_trial_count_refuses_exactly_the_counts_above_the_cap():
+    # the early refusal on (r/2)^n alone never refuses a count the exact power would allow
+    for r, cap in itertools.product(range(3, 7), (1, 10, 10**6, 2**40)):
+        for n in range(r, 120):
+            exact = -(-(101 * r**n) // (100 * 2**n))  # ceil(1.01 * (r/2)^n)
+            if exact <= cap:
+                assert trial_count(n, r, 1.01, cap) == exact
+            else:
+                with pytest.raises(ValueError, match="exceeds cap"):
+                    trial_count(n, r, 1.01, cap)
+
+
 def _starts(n, colorings, frozen_sets):
     """(K, n) colors and frozen arrays from K colorings and frozen node sets."""
     frozen = np.zeros((len(colorings), n), dtype=bool)
