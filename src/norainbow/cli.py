@@ -156,7 +156,7 @@ def cmd_decisive(args) -> int:
 def expand_corpus_token(token: str) -> list[tuple[str, Hypergraph]]:
     """A corpus token is either an instance file path or a generator spec
     like 'complete:r=3,n=6..12' / 'planted:n=10,m=15,r=3,seed=4' (only n
-    may be a lo..hi range)."""
+    may be a lo..hi range; no key may repeat)."""
     family = token.split(":", 1)[0]
     if ":" in token and family in {"random", "planted", "complete"}:
         fields = {}
@@ -164,7 +164,10 @@ def expand_corpus_token(token: str) -> list[tuple[str, Hypergraph]]:
             key, _, value = item.partition("=")
             if not value:
                 raise ValueError(f"bad corpus spec field {item!r} in {token!r}")
-            fields[key.strip()] = value.strip()
+            key = key.strip()
+            if key in fields:
+                raise ValueError(f"repeated corpus spec key {key!r} in {token!r}")
+            fields[key] = value.strip()
         unknown = set(fields) - {"n", "m", "r", "seed"}
         if unknown:
             raise ValueError(f"unknown corpus spec keys {sorted(unknown)} in {token!r}")

@@ -3,12 +3,13 @@
 Every start is an r-subset F frozen on the colors 1..r in node order over
 one background color b on every other node; the search recolors one
 unfrozen node of a nearly-frozen rainbow edge per level, freezing it, until
-it either proves the start hopeless or can exhibit a certificate. The
-radius bound keeps each start's tree at most (r-1)-ary of bounded depth.
+it either proves the start hopeless or can exhibit a certificate. Each
+start's tree is at most (r-1)-ary, and a node at depth radius is a leaf.
 
 Recolored nodes never return to b, so the colors alone say which nodes are
-frozen, and the search carries per-color edge bit sets down the tree: O(r)
-bit set operations per node, whatever n.
+frozen. One search per start closes over the start's state and changes it
+in place: the colors and per-color edge bit sets, O(r) bit set operations
+per node whatever n; only the shared-color edges and the depth are passed.
 
 det_nrc searches only the starts whose subset holds node 0: a witness
 relabelled by its class minima is reached from one of them. It tests each
@@ -68,9 +69,9 @@ def local_search(
     node unfrozen on the background color b.
 
     Case order per node: no rainbow edge -> certify the current coloring;
-    out of budget, or a fully frozen rainbow edge -> fail; otherwise
+    depth radius reached, or a fully frozen rainbow edge -> fail; otherwise
     recolor the unfrozen node of the lowest-index rainbow edge to each of
-    the other r-1 colors, freeze it, and recurse with one less budget.
+    the other r-1 colors, freeze it, and go one level deeper.
 
     Recolored nodes are frozen at once, so every unfrozen node keeps b and
     the subset's node w is the only frozen node colored b: a node is frozen
@@ -102,58 +103,47 @@ def _start_search(
     hg: Hypergraph, nodes: Sequence[int], b: int, radius: int, stats: SearchStats, trace: Optional[TraceFn] = None
 ) -> Optional[list[int]]:
     """local_search's certificate from the start (nodes, b), nodes ascending,
-    unchecked for det_nrc to check once; adds the start and its tree to stats."""
+    unchecked for det_nrc to check once; adds the start and its tree to stats.
+    search(dup, depth) recolors coloring and touched in place and restores
+    them before it returns None."""
     coloring = [b] * hg.n
     for color, v in enumerate(nodes, 1):
         coloring[v] = color
     # touched[c - 1] per color c; b's entry is -1, all ones, so their AND skips it
     touched = [-1 if c == b else hg.incidence[v] for c, v in enumerate(nodes, 1)]
     w_edges = hg.incidence[nodes[b - 1]]
-    before = stats.recursion_nodes
-    certificate = _search(hg, coloring, b, touched, 0, w_edges, radius, 0, stats, trace)
-    stats.trials += 1
-    stats.max_start_nodes = max(stats.max_start_nodes, stats.recursion_nodes - before)
-    return certificate
+    children = [c for c in range(1, hg.r + 1) if c != b]
 
-
-def _search(
-    hg: Hypergraph,
-    coloring: list[int],
-    b: int,
-    touched: list[int],
-    dup: int,
-    w_edges: int,
-    budget: int,
-    depth: int,
-    stats: SearchStats,
-    trace: Optional[TraceFn],
-) -> Optional[list[int]]:
-    stats.recursion_nodes += 1
-    if trace is not None:
-        trace(depth, coloring)
-    covered = functools.reduce(operator.and_, touched)
-    rainbow = covered & ~dup
-    if not rainbow:
-        return coloring[:]
-    if budget == 0 or covered & w_edges:
+    def search(dup: int, depth: int) -> Optional[list[int]]:
+        stats.recursion_nodes += 1
+        if trace is not None:
+            trace(depth, coloring)
+        covered = functools.reduce(operator.and_, touched)
+        rainbow = covered & ~dup
+        if not rainbow:
+            return coloring[:]
+        if depth == radius or covered & w_edges:
+            return None
+        edge = hg.edges[(rainbow & -rainbow).bit_length() - 1]
+        v = next(u for u in edge if coloring[u] == b)
+        inc = hg.incidence[v]
+        for color in children:
+            coloring[v] = color
+            before = touched[color - 1]
+            touched[color - 1] = before | inc
+            found = search(dup | (before & inc), depth + 1)
+            touched[color - 1] = before
+            if found is not None:
+                return found
+        coloring[v] = b
         return None
-    edge = hg.edges[(rainbow & -rainbow).bit_length() - 1]
-    v = next(u for u in edge if coloring[u] == b)
-    inc = hg.incidence[v]
-    for color in range(1, hg.r + 1):
-        if color == b:
-            continue
-        coloring[v] = color
-        before = touched[color - 1]
-        touched[color - 1] = before | inc
-        found = _search(
-            hg, coloring, b, touched, dup | (before & inc), w_edges, budget - 1, depth + 1, stats, trace
-        )
-        touched[color - 1] = before
-        if found is not None:
-            return found
-    coloring[v] = b
-    return None
+
+    nodes_before = stats.recursion_nodes
+    certificate = search(0, 0)
+    del search  # it refers to itself; freed now, not by the cycle collector
+    stats.trials += 1
+    stats.max_start_nodes = max(stats.max_start_nodes, stats.recursion_nodes - nodes_before)
+    return certificate
 
 
 def det_nrc(hg: Hypergraph, workers: int = 1) -> SearchOutcome:

@@ -37,8 +37,9 @@ class Hypergraph:
     the edge list sorted lexicographically, duplicates dropped. rows holds
     the result as a read-only (m, r) int64 array, and m counts its unique
     edges. An edge of the wrong size, or with an id that is not a 64-bit
-    integer, outside 0..n-1 or repeated, is a ValueError naming it. Two
-    graphs are equal when n, r and rows are; a graph is not hashable.
+    integer, outside 0..n-1 or repeated, is a ValueError naming it. rows
+    stays read-only in pickled and deep copies too. Two graphs are equal
+    when n, r and rows are; a graph is not hashable.
     """
 
     n: int
@@ -78,6 +79,10 @@ class Hypergraph:
             rows = np.unique(rows, axis=0)
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
+
+    def __setstate__(self, state):  # a pickled or deep-copied array comes back writeable
+        self.__dict__.update(state)
+        self.rows.flags.writeable = False
 
     def __eq__(self, other):  # the shape (m, r) of rows carries r
         return isinstance(other, Hypergraph) and self.n == other.n and np.array_equal(self.rows, other.rows)

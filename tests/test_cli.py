@@ -290,6 +290,9 @@ def test_expand_corpus_token_specs():
         expand_corpus_token("planted:n=8")
     with pytest.raises(ValueError):
         expand_corpus_token("random:n=8,r=3,bogus=1")
+    for token, key in (("random:n=8,n=9,r=3,m=5", "n"), ("random:r=3,n=8,r=4,m=5", "r")):
+        with pytest.raises(ValueError, match=f"repeated corpus spec key '{key}' in"):
+            expand_corpus_token(token)
 
 
 def test_solve_threads_flag(capsys, planted, complete43):

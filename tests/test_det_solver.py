@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import multiprocessing
@@ -176,17 +177,19 @@ def test_local_search_matches_reference_search(hg):
     # det's frozen flags, derived from its colors (a node is frozen when its
     # color is not b or it is the subset's b node w), match the frozen set
     # the reference tracks on its own
+    # the reference counts its budget down, det compares the depth with the
+    # radius: radii below the full one cut the tree where the two must agree
     g = search_radius(hg.n, hg.r)
-    for subset, b in enumerate_initial_pairs(hg):
-        certificate, expected = reference_det_search(hg, subset, b, g)
+    for radius, (subset, b) in itertools.product((0, 1, g // 2, g), enumerate_initial_pairs(hg)):
+        certificate, expected = reference_det_search(hg, subset, b, radius)
         w = subset[b - 1]
         trace = []
 
         def record(depth, coloring):
             trace.append((depth, list(coloring), [c != b or v == w for v, c in enumerate(coloring)]))
 
-        out = local_search(hg, subset, b, g, trace=record)
-        assert trace == expected, (subset, b)
+        out = local_search(hg, subset, b, radius, trace=record)
+        assert trace == expected, (radius, subset, b)
         assert out.certificate == certificate
         assert out.decision == (NOT_COLORABLE if certificate is None else COLORABLE)
         assert out.stats.recursion_nodes == len(expected)
@@ -218,6 +221,22 @@ def test_det_root_sweep_builds_no_tuple_view():
     assert "edges" not in vars(hg)
     branchy = gen_random(6, 12, 3, 6)  # BRANCHY_UNSAT, unread
     assert det_nrc(branchy).stats.recursion_nodes > 1 and "edges" in vars(branchy)
+
+
+def test_det_searches_leave_no_garbage_cycles():
+    # a start's search closes over itself; an uncollected closure per start
+    # would hold that start's bit sets until the cycle collector ran
+    branchy, planted = BRANCHY_UNSAT, gen_planted(30, 900, 3, 1)[0]
+    for hg in (branchy, planted):
+        hg.edges, hg.incidence  # built before the count, as a graph's views are kept
+    gc.collect()
+    gc.disable()
+    try:
+        assert det_nrc(branchy).stats.trials > 1 and det_nrc(planted).colorable
+        assert local_search(branchy, (0, 1, 2), 1, 4).decision == NOT_COLORABLE
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_det_checks_its_certificate_once(monkeypatch):

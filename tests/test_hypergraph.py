@@ -2,6 +2,7 @@ import itertools
 import pickle
 import random
 import re
+from copy import deepcopy
 from unittest import mock
 
 import numpy as np
@@ -102,6 +103,10 @@ def test_equality_is_by_value_and_survives_pickling():
     assert hg == Hypergraph(5, 3, np.array(edges)) == copy
     assert hg.edges == copy.edges
     assert "edges" in vars(pickle.loads(pickle.dumps(hg)))  # a view once built travels with the graph
+    for other in (pickle.loads(pickle.dumps(hg)), deepcopy(hg)):
+        assert other == hg and not other.rows.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            other.rows[0, 0] = 3
     assert Hypergraph(5, 3) == Hypergraph(5, 3, np.zeros((0, 3), dtype=np.int64))
     for other in (
         Hypergraph(6, 3, edges),
@@ -395,7 +400,7 @@ def test_solvers_refuse_an_invalid_certificate(monkeypatch):
     monkeypatch.setattr(det_solver, "_root_certificate", lambda hg, stats: list(bad))
     with pytest.raises(RuntimeError, match="internal error"):
         det_nrc(hg)
-    monkeypatch.setattr(det_solver, "_search", lambda *args: list(bad))
+    monkeypatch.setattr(det_solver, "_start_search", lambda *args: list(bad))
     with pytest.raises(RuntimeError, match="internal error"):
         local_search(hg, (0, 1, 3), 1, 1)
 

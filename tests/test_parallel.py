@@ -20,6 +20,16 @@ def test_first_certificate_stops_running_chunks():
     assert time.perf_counter() - t0 < 10
 
 
+def certify_if_read_only(hg, lo, hi, stats):
+    # module level, so spawned workers can unpickle it by name
+    return None if hg.rows.flags.writeable else [1, 1, 2, 3]
+
+
+def test_workers_get_a_read_only_graph():
+    hg = Hypergraph(4, 3, ((0, 1, 2), (1, 2, 3)))
+    assert search_ranges(hg, certify_if_read_only, 2, 2, SearchStats()) == [1, 1, 2, 3]
+
+
 class _InProcessPool:
     """Stands in for a process pool: records its size and its number of
     chunks, and runs each chunk in this process."""
