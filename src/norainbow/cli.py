@@ -26,7 +26,7 @@ from .hypergraph import (
     parse_instance,
     write_instance,
 )
-from .instances import InstanceSpec, planted_comment
+from .instances import FAMILIES, InstanceSpec, planted_comment
 from .oracle import DEFAULT_BUDGET, oracle_decide, oracle_verify_certificate
 from .rand_solver import DEFAULT_TRIAL_CAP, check_alpha, rand_nrc
 
@@ -154,43 +154,10 @@ def cmd_decisive(args) -> int:
 
 
 def expand_corpus_token(token: str) -> list[tuple[str, Hypergraph]]:
-    """A corpus token is either an instance file path or a generator spec
-    like 'complete:r=3,n=6..12' / 'planted:n=10,m=15,r=3,seed=4' (only n
-    may be a lo..hi range; no key may repeat)."""
-    family = token.split(":", 1)[0]
-    if ":" in token and family in {"random", "planted", "complete"}:
-        fields = {}
-        for item in token.split(":", 1)[1].split(","):
-            key, _, value = item.partition("=")
-            if not value:
-                raise ValueError(f"bad corpus spec field {item!r} in {token!r}")
-            key = key.strip()
-            if key in fields:
-                raise ValueError(f"repeated corpus spec key {key!r} in {token!r}")
-            fields[key] = value.strip()
-        unknown = set(fields) - {"n", "m", "r", "seed"}
-        if unknown:
-            raise ValueError(f"unknown corpus spec keys {sorted(unknown)} in {token!r}")
-        if "n" not in fields or "r" not in fields:
-            raise ValueError(f"corpus spec {token!r} needs at least n and r")
-
-        def integer(key: str, text: str) -> int:
-            try:
-                return int(text)
-            except ValueError:
-                raise ValueError(f"non-integer {key} value {text!r} in {token!r}") from None
-
-        lo, dots, hi = fields["n"].partition("..")
-        n_values = range(integer("n", lo), integer("n", hi if dots else lo) + 1)
-        if not n_values:
-            raise ValueError(f"empty n range {fields['n']!r} in {token!r}")
-        r, m, seed = (integer(key, fields.get(key, "0")) for key in ("r", "m", "seed"))
-        out = []
-        for n in n_values:
-            spec = InstanceSpec(family, n, r, m, seed)
-            hg, _ = spec.generate()
-            out.append((spec.instance_id(), hg))
-        return out
+    """A corpus token is a generator spec, read by InstanceSpec.parse, when
+    its text before the first ':' is one of FAMILIES; else an instance file path."""
+    if ":" in token and token.split(":", 1)[0] in FAMILIES:
+        return [(spec.instance_id(), spec.generate()[0]) for spec in InstanceSpec.parse(token)]
     return [(token, _read_instance(token))]
 
 
@@ -208,10 +175,10 @@ def _bench_row(instance_id: str, hg: Hypergraph, algo: str, seed: int, args) -> 
 def cmd_bench(args) -> int:
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     if not algos:
-        raise ValueError(f"--algos {args.algos!r} names no algo; choose from det, rand, oracle")
+        raise ValueError(f"--algos {args.algos!r} names no algo; choose from {', '.join(ALGOS)}")
     for algo in algos:
         if algo not in ALGOS:
-            raise ValueError(f"unknown algo {algo!r}; choose from det, rand, oracle")
+            raise ValueError(f"unknown algo {algo!r}; choose from {', '.join(ALGOS)}")
     if args.reps < 1:
         raise ValueError(f"--reps must be >= 1, got {args.reps}")
     if args.threads < 1:
@@ -268,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("gen", help="emit a generated instance")
-    p.add_argument("family", choices=["random", "planted", "complete"])
+    p.add_argument("family", choices=FAMILIES)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--m", type=int, default=0)

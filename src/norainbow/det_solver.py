@@ -21,6 +21,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from typing import Callable, Iterator, Optional, Sequence
 
 from .hypergraph import Hypergraph, SearchOutcome, SearchStats
@@ -138,6 +139,8 @@ def _start_search(
         coloring[v] = b
         return None
 
+    if sys.getrecursionlimit() < radius + 1000:  # search recurses once per level
+        sys.setrecursionlimit(radius + 1000)
     nodes_before = stats.recursion_nodes
     certificate = search(0, 0)
     del search  # it refers to itself; freed now, not by the cycle collector

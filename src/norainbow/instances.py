@@ -10,15 +10,16 @@ from typing import Optional
 
 from .hypergraph import Hypergraph, format_certificate, parse_certificate
 
+FAMILIES = ("random", "planted", "complete")
 # below this many r-subsets, sample by enumeration; above it, by rejection
 _ENUMERATE_LIMIT = 200_000
 
 
 @dataclass(frozen=True)
 class InstanceSpec:
-    """Generator parameters for one reproducible instance."""
+    """Generator parameters for one reproducible instance, named by its token."""
 
-    family: str  # random | planted | complete
+    family: str  # one of FAMILIES
     n: int
     r: int
     m: int = 0
@@ -39,6 +40,38 @@ class InstanceSpec:
         if self.family == "complete":
             return f"complete:r={self.r},n={self.n}"
         return f"{self.family}:r={self.r},n={self.n},m={self.m},seed={self.seed}"
+
+    @classmethod
+    def parse(cls, token: str) -> list[InstanceSpec]:
+        """instance_id's inverse: the specs of a 'family:key=value,...' token, one per n of a
+        lo..hi range (only n may be one); m and seed default to 0, and generate checks the family."""
+        family, _, body = token.partition(":")
+        fields = {}
+        for item in body.split(","):
+            key, _, value = item.partition("=")
+            if not value:
+                raise ValueError(f"bad corpus spec field {item!r} in {token!r}")
+            key = key.strip()
+            if key in fields:
+                raise ValueError(f"repeated corpus spec key {key!r} in {token!r}")
+            fields[key] = value.strip()
+        if unknown := set(fields) - {"n", "m", "r", "seed"}:
+            raise ValueError(f"unknown corpus spec keys {sorted(unknown)} in {token!r}")
+        if "n" not in fields or "r" not in fields:
+            raise ValueError(f"corpus spec {token!r} needs at least n and r")
+
+        def integer(key: str, text: str) -> int:
+            try:
+                return int(text)
+            except ValueError:
+                raise ValueError(f"non-integer {key} value {text!r} in {token!r}") from None
+
+        lo, dots, hi = fields["n"].partition("..")
+        n_values = range(integer("n", lo), integer("n", hi if dots else lo) + 1)
+        if not n_values:
+            raise ValueError(f"empty n range {fields['n']!r} in {token!r}")
+        kwargs = {key: integer(key, fields[key]) for key in ("r", "m", "seed") if key in fields}
+        return [cls(family, n, **kwargs) for n in n_values]
 
 
 def gen_random(n: int, m: int, r: int, seed: int) -> Hypergraph:

@@ -16,6 +16,7 @@ code or solver-side predicate.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,12 +51,11 @@ def oracle_decide(hg: Hypergraph, budget: int = DEFAULT_BUDGET) -> OracleReport:
     Refuses instances needing more than the budget (default 10^8 colorings).
     """
     n, r, m = hg.n, hg.r, hg.m
-    total = r**n
-    if total > budget:
-        raise ValueError(
-            f"enumeration needs {total} colorings, over budget {budget}; "
-            f"pass budget>={total} to force"
-        )
+    # r^n = 2^(n log2 r) alone above the budget is refused before the exact
+    # power; the message spells the count out only when it fits in 64 bits
+    if n > (budget.bit_length() + 1) / math.log2(r) or r**n > budget:
+        total = f"{r}^{n}" + (f" = {r**n}" if n <= 64 / math.log2(r) else "")
+        raise ValueError(f"enumeration needs {total} colorings, over budget {budget}; raise the budget to force")
     if n < r:  # no coloring is surjective
         return OracleReport(NOT_COLORABLE, 0, None)
 

@@ -10,7 +10,16 @@ from pathlib import Path
 import pytest
 
 import norainbow
-from norainbow import COLORABLE, OracleReport, SearchOutcome, cli, parse_instance, write_instance
+from norainbow import (
+    COLORABLE,
+    OracleReport,
+    ParseError,
+    SearchOutcome,
+    cli,
+    parse_certificate,
+    parse_instance,
+    write_instance,
+)
 from norainbow.cli import CSV_HEADER, build_parser, expand_corpus_token, main
 from norainbow.instances import gen_complete, gen_planted, read_planted_witness
 from norainbow.oracle import oracle_verify_certificate
@@ -187,6 +196,7 @@ def test_gen_planted_embeds_witness(capsys, tmp_path):
         (["gen", "random", "--n", "5", "--r", "3", "--m", "-1"], "m must be >= 0, got -1"),
         (["bench", "planted:n=5,r=3,m=-2"], "m must be >= 0, got -2"),
         (["bench", "random:n=5,r=3,m=-2"], "m must be >= 0, got -2"),
+        (["gen", "planted", "--n", "4", "--r", "3", "--m", "5"], "m=5 exceeds the 4 distinct r-subsets"),
     ],
 )
 def test_negative_edge_count_is_an_error(capsys, argv, message):
@@ -205,6 +215,14 @@ def test_verify_command(capsys, tmp_path, planted):
     cert.write_text("v 1 2 3\n")
     code, out, err = run_cli(capsys, "verify", planted, str(cert))
     assert (code, out, err) == (1, "", "error: certificate length 3 != n=8\n")
+    for text, message in (
+        ("c no certificate\n", "no 'v' certificate line found"),
+        ("v 1 x 2\n", "non-integer color in certificate line 'v 1 x 2'"),
+    ):
+        cert.write_text(text)
+        assert run_cli(capsys, "verify", planted, str(cert)) == (1, "", f"error: {message}\n")
+    with pytest.raises(ParseError, match="certificate line must start with 'v', got '1 2 3'"):
+        parse_certificate("1 2 3")
 
 
 def test_decisive(capsys, tmp_path):
@@ -279,6 +297,16 @@ def test_bench_records_errors_in_row(capsys, tmp_path):
     assert rows[0]["decision"] == ""
 
 
+def test_bench_names_spec_instances_by_their_ids(capsys):
+    code, out, _ = run_cli(capsys, "bench", "random:n=8..9,m=10,r=3,seed=1", "planted:seed=2,r=3,m=10,n=8")
+    assert code == 0
+    assert [row["instance"] for row in csv.DictReader(io.StringIO(out))] == [
+        "random:r=3,n=8,m=10,seed=1",
+        "random:r=3,n=9,m=10,seed=1",
+        "planted:r=3,n=8,m=10,seed=2",
+    ]
+
+
 def test_expand_corpus_token_specs():
     got = expand_corpus_token("complete:r=3,n=4..6")
     assert [i for i, _ in got] == [
@@ -331,6 +359,25 @@ def test_solve_rand_refuses_a_huge_trial_count(capsys, tmp_path):
     assert err == "error: trial count ceil(2.0 * (3/2)^30000) exceeds cap 1000000; raise the cap to proceed\n"
 
 
+def test_oracle_refuses_a_huge_enumeration(capsys, tmp_path):
+    # 2^15000 has 4,516 digits, beyond Python's int-to-str limit: the error names no count
+    path = tmp_path / "big.nrc"
+    path.write_text("p nrc 15000 1 2\n1 2\n")
+    message = "enumeration needs 2^15000 colorings, over budget 100000000; raise the budget to force"
+    assert run_cli(capsys, "oracle", str(path)) == (1, "", f"error: {message}\n")
+
+
+def test_solve_searches_past_the_default_recursion_limit(capsys, tmp_path):
+    # det recurses once per search level; the certifying start here goes
+    # 1,100 levels deep, in-process and in a spawned worker
+    edges = [(1, v) for v in range(2, 1101)] + [(v, v + 1) for v in range(1101, 2200)]
+    path = tmp_path / "deep.nrc"
+    path.write_text(f"p nrc 2200 {len(edges)} 2\n" + "".join(f"{a} {b}\n" for a, b in edges))
+    certificate = "v " + " ".join(["1"] * 1100 + ["2"] * 1100)
+    for threads in ("1", "2"):
+        assert run_cli(capsys, "solve", str(path), "--threads", threads) == (10, f"s COLORABLE\n{certificate}\n", "")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -344,6 +391,8 @@ def test_solve_rand_refuses_a_huge_trial_count(capsys, tmp_path):
         (["complete:r=3,n=6", "--algos", "det,rand", "--alpha", "-2"], "alpha must be > 1, got -2.0"),
         (["complete:r=3,n=6", "--algos", "rand", "--alpha", "nan"], "alpha must be > 1, got nan"),
         (["complete:r=3,n=6", "--algos", "oracle,rand", "--alpha", "inf"], "alpha must be finite, got inf"),
+        (["complete:r=3,n=6", "--algos", "det,foo"], "unknown algo 'foo'; choose from det, rand, oracle"),
+        (["random:n=8,r"], "bad corpus spec field 'r' in 'random:n=8,r'"),
     ],
 )
 def test_bench_refuses_to_run_nothing(capsys, argv, message):

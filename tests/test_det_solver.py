@@ -250,6 +250,17 @@ def test_det_checks_its_certificate_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_deep_searches_raise_the_recursion_limit():
+    # a search recurses once per level; both of these go past the default limit of 1,000
+    star_and_path = Hypergraph(2200, 2, [(0, v) for v in range(1, 1100)] + [(v, v + 1) for v in range(1100, 2199)])
+    out = det_nrc(star_and_path)
+    assert (out.decision, out.certificate) == (COLORABLE, [1] * 1100 + [2] * 1100)
+    assert out.stats == SearchStats(recursion_nodes=3298, trials=2199, max_start_nodes=1100)
+    path = Hypergraph(2100, 2, [(v, v + 1) for v in range(2099)])
+    out = local_search(path, (0, 2099), 1, 1050)
+    assert (out.decision, out.stats.recursion_nodes) == (NOT_COLORABLE, 1051)
+
+
 def test_det_nrc_deterministic():
     hg = gen_random(8, 10, 3, 42)
     a = det_nrc(hg)

@@ -49,6 +49,8 @@ def test_bad_edges_rejected():
         Hypergraph(3, 3, ((0, 1, 1),))
     with pytest.raises(ValueError):
         Hypergraph(3, 1, ())
+    with pytest.raises(ValueError, match="node count must be >= 0, got -1"):
+        Hypergraph(-1, 3)
     for edge in ((0, 1, 2.5), (0, 1, 2.0), (0, 1, "2"), (0, 1, 2**63), (0, 1, 2**64), (0, 1, -(2**70))):
         with pytest.raises(ValueError, match=re.escape(f"edge {edge}")):
             Hypergraph(5, 3, (edge,))
@@ -321,6 +323,7 @@ def test_parse_texts_either_path_takes(text, n, edges):
             f"p nrc {2**63 - 1} 1 3\n1 2 {2**63 + 6}\n",
             f"line 2: node id out of range (got {2**63 + 6}, n={2**63 - 1})",
         ),
+        ("p nrc 4 1 3\np nrc 4 1 3\n1 2 4\n", "line 2: duplicate header"),
     ],
 )
 def test_parse_errors_match_line_parser(text, message):

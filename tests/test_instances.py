@@ -101,6 +101,17 @@ def test_instance_spec_dispatch():
     assert InstanceSpec("complete", 5, 3).instance_id() == "complete:r=3,n=5"
 
 
+@pytest.mark.parametrize(
+    "spec", [InstanceSpec("random", 8, 3, 10, 1), InstanceSpec("planted", 9, 4, 12, 5), InstanceSpec("complete", 6, 3)]
+)
+def test_instance_spec_parse_inverts_instance_id(spec):
+    assert InstanceSpec.parse(spec.instance_id()) == [spec]
+
+
+def test_instance_spec_parse_expands_an_n_range():
+    assert InstanceSpec.parse("random:n=6..8,r=3,m=4") == [InstanceSpec("random", n, 3, 4) for n in (6, 7, 8)]
+
+
 def test_planted_comment_roundtrip():
     hg, witness = gen_planted(8, 12, 3, 7)
     text = planted_comment(witness) + "\n" + write_instance(hg)

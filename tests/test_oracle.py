@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -62,6 +64,19 @@ def test_complete_four():
 def test_budget_refusal_states_requirement():
     with pytest.raises(ValueError, match="59049"):
         oracle_decide(Hypergraph(10, 3), budget=1000)
+
+
+def test_budget_refusal_computes_no_huge_power():
+    # 3^(10^7) has 4.8 million digits; its bit length alone refuses it
+    hg = Hypergraph(10**7, 3)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=re.escape("needs 3^10000000 colorings, over budget 100000000; raise")):
+        oracle_decide(hg)
+    assert time.perf_counter() - t0 < 0.5
+    for budget in (0, -1):
+        for hg, needs in ((Hypergraph(2, 3), "3^2 = 9"), (Hypergraph(0, 3), "3^0 = 1")):
+            with pytest.raises(ValueError, match=re.escape(f"needs {needs} colorings, over budget {budget};")):
+                oracle_decide(hg, budget=budget)
 
 
 def test_matches_naive_enumeration():
