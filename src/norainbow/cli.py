@@ -68,7 +68,8 @@ def _write_output(text: str, out: Optional[str]) -> None:
 
 def _solve_with(hg: Hypergraph, algo: str, args, seed: int) -> tuple[str, Optional[list[int]], SearchStats]:
     """Run one decider; returns (decision, certificate, stats). The oracle's
-    stats count every enumerated coloring as a node and each witness as a trial."""
+    stats count each of the r^n colorings it decides as a node and each
+    witness as a trial."""
     if algo == "det":
         outcome = det_nrc(hg, workers=args.threads)
     elif algo == "rand":

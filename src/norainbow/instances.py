@@ -33,6 +33,9 @@ class InstanceSpec:
         if self.family == "planted":
             return gen_planted(self.n, self.m, self.r, self.seed)
         if self.family == "complete":
+            if self.m or self.seed:  # instance_id could not name them
+                key = "m" if self.m else "seed"
+                raise ValueError(f"a complete instance takes no {key}, got {key}={getattr(self, key)}")
             return gen_complete(self.n, self.r), None
         raise ValueError(f"unknown instance family {self.family!r}")
 

@@ -1,11 +1,13 @@
 """Brute-force ground truth by exhaustive enumeration of all r^n colorings.
 
-oracle_decide counts every surjective no-rainbow coloring exactly, with no
-symmetry shortcuts. It splits the nodes into a prefix and a suffix of k
-nodes: the colors of the suffix's r^k colorings, one bit per color, are
-OR-ed once per edge into a table, and each prefix coloring is then tested
-against all of them in one vectorized pass, so that desk sizes (r=3 up to
-n=16, r=4 up to n=13) are tractable.
+oracle_decide counts every surjective no-rainbow coloring exactly. It splits
+the nodes into a prefix and a suffix of k nodes: the colors of the suffix's
+r^k colorings, one bit per color, are OR-ed once per edge into a table, and
+each prefix coloring is then tested against all of them in one vectorized
+pass, so that desk sizes (r=3 up to n=16, r=4 up to n=13) are tractable.
+It tests one prefix per orbit of the r! color permutations: that symmetry is
+a fact about the definition, not one of det's lemmas, so the oracle stays
+independent of the solvers.
 
 oracle_verify_certificate re-checks every certificate any solver emits
 against the definition. It is independent of the solver-side gate
@@ -15,7 +17,6 @@ code or solver-side predicate.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -36,17 +37,32 @@ class OracleReport:
     sample_witness: Optional[list[int]]
 
 
+def _growth_prefixes(length: int, r: int):
+    """The restricted-growth colorings of `length` nodes (each color at most one
+    above the largest before it) in counting order, with the colors each uses."""
+    if length == 0:
+        yield (), 0
+        return
+    for prefix, used in _growth_prefixes(length - 1, r):
+        for c in range(min(used + 1, r)):
+            yield (*prefix, c), max(used, c + 1)
+
+
 def oracle_decide(hg: Hypergraph, budget: int = DEFAULT_BUDGET) -> OracleReport:
-    """Enumerate all r^n colorings in base-r counting order (node 0 most
+    """Decide all r^n colorings in base-r counting order (node 0 most
     significant) and count the surjective ones inducing no rainbow edge.
-    The sample witness is the first in enumeration order.
+    The sample witness is the first in counting order.
 
     The last k nodes form the suffix, k as large as keeps its table of
     r^k rows by m + 1 masks within _TABLE_CELLS cells. Colors are bits, so
     the table holds, per suffix coloring and edge, the OR of the edge's
-    suffix colors, next to the OR of all suffix colors. For each coloring of the first n-k
-    nodes, in counting order, a suffix row is a witness when the two used
-    masks together cover every color and no edge's two masks do.
+    suffix colors, next to the OR of all suffix colors. A suffix row is a
+    witness beside a coloring of the first n-k nodes when the two used masks
+    together cover every color and no edge's two masks do. Only restricted-
+    growth prefixes are tested: one using j colors stands for the r!/(r-j)!
+    its color permutations give, each with as many witnesses. The first
+    witness in counting order is restricted-growth, so the first prefix with
+    a witness holds it.
 
     Refuses instances needing more than the budget (default 10^8 colorings).
     """
@@ -82,7 +98,7 @@ def oracle_decide(hg: Hypergraph, budget: int = DEFAULT_BUDGET) -> OracleReport:
     prefix_cols = np.where(edges < split, edges, split)
     witness_count = 0
     sample: Optional[list[int]] = None
-    for prefix in itertools.product(range(r), repeat=split):
+    for prefix, used in _growth_prefixes(split, r):
         bits = np.append(color_bit[list(prefix)], dtype.type(0))
         prefix_edge = np.bitwise_or.reduce(bits[prefix_cols], axis=1)
         if (prefix_edge == full).any():
@@ -94,7 +110,7 @@ def oracle_decide(hg: Hypergraph, budget: int = DEFAULT_BUDGET) -> OracleReport:
             row = int(np.argmax(ok))
             suffix = [row // r ** (k - 1 - j) % r for j in range(k)]
             sample = [c + 1 for c in (*prefix, *suffix)]
-        witness_count += found
+        witness_count += found * math.perm(r, used)
 
     decision = COLORABLE if witness_count > 0 else NOT_COLORABLE
     return OracleReport(decision, witness_count, sample)

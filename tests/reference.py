@@ -1,9 +1,11 @@
 """Plain reference predicates that tests compare the package against, the
 certificate definition among them, the line-by-line instance parser, the
-class-minimum start set det searches, the one-start walk, and the
-witness-aligned walk starts of the success-rate tests."""
+product-order oracle, the class-minimum start set det searches, the
+one-start walk, and the witness-aligned walk starts of the success-rate
+tests."""
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Optional
 
 import numpy as np
@@ -19,6 +21,7 @@ from norainbow import (
     lockstep_walks,
 )
 from norainbow.hypergraph import _header, _parse_edge_lines
+from norainbow.oracle import _TABLE_CELLS, OracleReport
 
 
 def parse_lines(text: str) -> Hypergraph:
@@ -27,6 +30,55 @@ def parse_lines(text: str) -> Hypergraph:
     lines = text.removeprefix("\ufeff").splitlines()
     start, n, m, r = _header(lines)
     return _parse_edge_lines(lines[start + 1 :], start + 2, n, m, r)
+
+
+def product_order_decide(hg: Hypergraph, cells: int = _TABLE_CELLS) -> OracleReport:
+    """oracle_decide without its budget or its color symmetry: every one of
+    the r^n prefix colorings in itertools.product order is tested against a
+    suffix table of at most `cells` cells, and each witness counts once."""
+    n, r, m = hg.n, hg.r, hg.m
+    if n < r:  # no coloring is surjective
+        return OracleReport(NOT_COLORABLE, 0, None)
+
+    k = n
+    while k and r**k * (m + 1) > cells:
+        k -= 1
+    split = n - k
+    dtype = np.min_scalar_type((1 << r) - 1)
+    color_bit = np.array([1 << c for c in range(r)], dtype=dtype)
+    full = dtype.type((1 << r) - 1)
+    edges = hg.rows
+
+    # Suffix table, rows in counting order of the last k nodes.
+    rows = np.arange(r**k, dtype=np.int64)
+    suffix_used = np.zeros(r**k, dtype=dtype)
+    suffix_edge = np.zeros((r**k, m), dtype=dtype)
+    for j in range(k):
+        bit = color_bit[rows // r ** (k - 1 - j) % r]
+        suffix_used |= bit
+        on_edge = np.flatnonzero((edges == split + j).any(axis=1))
+        suffix_edge[:, on_edge] |= bit[:, None]
+
+    # Prefix nodes index their own bits; suffix nodes index a trailing 0.
+    prefix_cols = np.where(edges < split, edges, split)
+    witness_count = 0
+    sample: Optional[list[int]] = None
+    for prefix in itertools.product(range(r), repeat=split):
+        bits = np.append(color_bit[list(prefix)], dtype.type(0))
+        prefix_edge = np.bitwise_or.reduce(bits[prefix_cols], axis=1)
+        if (prefix_edge == full).any():
+            continue  # an edge is rainbow within the prefix alone
+        ok = (suffix_used | np.bitwise_or.reduce(bits)) == full
+        ok &= ~((suffix_edge | prefix_edge) == full).any(axis=1)
+        found = int(np.count_nonzero(ok))
+        if found and sample is None:
+            row = int(np.argmax(ok))
+            suffix = [row // r ** (k - 1 - j) % r for j in range(k)]
+            sample = [c + 1 for c in (*prefix, *suffix)]
+        witness_count += found
+
+    decision = COLORABLE if witness_count > 0 else NOT_COLORABLE
+    return OracleReport(decision, witness_count, sample)
 
 
 def is_rainbow_edge(hg: Hypergraph, coloring: list[int], edge_index: int) -> bool:

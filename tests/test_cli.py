@@ -454,3 +454,18 @@ def test_readme_cli_synopsis_matches_parser():
         for name, sub in subparsers.choices.items()
     }
     assert documented == actual
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bench", "complete:r=3,n=5,m=7,seed=3"], "a complete instance takes no m, got m=7"),
+        (["bench", "complete:r=3,n=5,seed=3"], "a complete instance takes no seed, got seed=3"),
+        (["gen", "complete", "--n", "5", "--r", "3", "--m", "7"], "a complete instance takes no m, got m=7"),
+        (["gen", "complete", "--n", "5", "--r", "3", "--seed", "3"], "a complete instance takes no seed, got seed=3"),
+    ],
+)
+def test_complete_spec_refuses_m_and_seed(capsys, argv, message):
+    # a complete graph has no edge count or seed to vary, and its
+    # instance_id names neither, so a spec that sets one is refused
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")

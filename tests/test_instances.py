@@ -3,6 +3,7 @@ import pytest
 from norainbow import write_instance
 from norainbow.hypergraph import COLORABLE, NOT_COLORABLE
 from norainbow.instances import (
+    FAMILIES,
     InstanceSpec,
     gen_complete,
     gen_planted,
@@ -106,6 +107,19 @@ def test_instance_spec_dispatch():
 )
 def test_instance_spec_parse_inverts_instance_id(spec):
     assert InstanceSpec.parse(spec.instance_id()) == [spec]
+
+
+def test_every_generated_spec_is_named_by_its_instance_id():
+    # a spec generate accepts is the one spec its instance_id parses back to
+    for family in FAMILIES:
+        for m, seed in ((0, 0), (7, 0), (0, 3), (7, 3)):
+            spec = InstanceSpec(family, 6, 3, m, seed)
+            try:
+                spec.generate()
+            except ValueError as exc:
+                assert family == "complete" and (m or seed), exc
+                continue
+            assert InstanceSpec.parse(spec.instance_id()) == [spec]
 
 
 def test_instance_spec_parse_expands_an_n_range():

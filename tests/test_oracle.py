@@ -13,7 +13,7 @@ from norainbow.hypergraph import COLORABLE, NOT_COLORABLE
 from norainbow.instances import gen_complete, gen_random
 from norainbow.oracle import OracleReport, oracle_decide, oracle_verify_certificate
 
-from reference import reference_no_rainbow
+from reference import product_order_decide, reference_no_rainbow
 from strategies import colored_hypergraphs, hypergraphs
 
 
@@ -97,6 +97,45 @@ def test_forced_split_matches_naive_enumeration(monkeypatch, cells):
         assert (report.witness_count, report.sample_witness) == naive_count(hg)
 
 
+def stirling2(n, k):
+    """Stirling number of the second kind: partitions of n items into k
+    nonempty blocks, by the recurrence S(n, k) = k S(n-1, k) + S(n-1, k-1)."""
+    row = [1] + [0] * k  # S(0, 0..k)
+    for _ in range(n):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+    return row[k]
+
+
+@pytest.mark.parametrize("cells", [None, 1, 4, 30])
+def test_zero_edge_witnesses_are_surjections(cells):
+    # A zero-edge graph's witnesses are its r! S(n, r) surjective colorings.
+    # Under the default cap these fit the suffix table whole; at 1 cell only
+    # prefixes using all r colors find a witness, and at 4 and 30 cells a
+    # nonempty suffix completes prefixes using fewer colors, so each prefix
+    # weight r!/(r-j)! is exercised.
+    with pytest.MonkeyPatch.context() as mp:
+        if cells is not None:
+            mp.setattr(oracle, "_TABLE_CELLS", cells)
+        for r in range(2, 6):
+            for n in range(1, 9):
+                expected = math.factorial(r) * stirling2(n, r)
+                assert oracle_decide(Hypergraph(n, r)).witness_count == expected, (n, r)
+
+
+@pytest.mark.parametrize("cells", [None, 1, 4, 30])
+@settings(max_examples=60, deadline=None)
+@given(hg=hypergraphs(max_r=5, max_n=8, max_m=8))
+def test_matches_product_order_reference(cells, hg):
+    # the restricted-growth prefixes give the same decision, witness count
+    # and sample witness as every prefix in product order, under the
+    # default table cap and under the small caps that force a long prefix
+    expected = product_order_decide(hg)
+    with pytest.MonkeyPatch.context() as mp:
+        if cells is not None:
+            mp.setattr(oracle, "_TABLE_CELLS", cells)
+        assert oracle_decide(hg) == expected
+
+
 @pytest.mark.parametrize(
     "spec, count, sample",
     [
@@ -106,7 +145,7 @@ def test_forced_split_matches_naive_enumeration(monkeypatch, cells):
 )
 def test_pinned_counts(spec, count, sample):
     # Values recorded with the earlier sort-based enumerator. Under the
-    # default cap the prefix loop runs 64 and 27 times on these.
+    # default cap the prefix loop runs 5 and 5 times on these.
     report = oracle_decide(gen_random(*spec))
     assert (report.decision, report.witness_count, report.sample_witness) == (
         COLORABLE,
