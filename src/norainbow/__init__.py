@@ -2,7 +2,7 @@
 hypergraphs: a deterministic bounded-radius branching search, a randomized
 restart walk, a brute-force oracle, and instance generators."""
 
-from .det_solver import det_nrc, enumerate_initial_pairs, local_search, search_radius
+from .det_solver import det_nrc, det_starts, local_search, search_radius
 from .hypergraph import (
     COLORABLE,
     NOT_COLORABLE,

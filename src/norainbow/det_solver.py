@@ -11,9 +11,9 @@ frozen. One search per start closes over the start's state and changes it
 in place: the colors and per-color edge bit sets, O(r) bit set operations
 per node whatever n; only the shared-color edges and the depth are passed.
 
-det_nrc searches only the starts whose subset holds node 0: a witness
-relabelled by its class minima is reached from one of them. It tests each
-one's root alone, then searches them all at the full radius if none certifies.
+det_nrc searches only the starts det_starts yields (see there why they
+suffice). It tests each one's root alone, then searches them all at the full
+radius if none certifies.
 """
 from __future__ import annotations
 
@@ -38,23 +38,19 @@ def search_radius(n: int, r: int) -> int:
     return (r - 1) * n // r
 
 
-def enumerate_initial_pairs(hg: Hypergraph) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield every start as (subset, b): each r-subset F in ascending order,
-    and for each, each background color b in 1..r. Exactly C(n, r) * r
-    starts, of which det_nrc searches only the first start_count(n, r):
-    the subsets that hold node 0 come first in this order."""
-    if hg.n < hg.r:
-        raise ValueError(f"no surjective start exists for n={hg.n} < r={hg.r}")
-    for subset in itertools.combinations(range(hg.n), hg.r):
-        for b in range(1, hg.r + 1):
-            yield subset, b
+def det_starts(n: int, r: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield det's starts as (subset, b): each r-subset F that holds node 0,
+    in ascending order, and for each, each background color b in 1..r; none
+    when n < r. These suffice: relabel a witness so that its class minima
+    carry 1..r in node order and let b be its largest class's color; node 0
+    is a class minimum, and the search from (minima, b) certifies."""
+    for rest in itertools.combinations(range(1, n), r - 1):
+        for b in range(1, r + 1):
+            yield (0, *rest), b
 
 
 def start_count(n: int, r: int) -> int:
-    """C(n-1, r-1) * r: the starts at the head of enumerate_initial_pairs
-    whose subset holds node 0. Relabel a witness so that its class minima
-    carry 1..r in node order and let b be its largest class's color; node 0
-    is a class minimum, and the search from (minima, b) certifies."""
+    """C(n-1, r-1) * r for n >= 1: the length of det_starts(n, r)."""
     return math.comb(n - 1, r - 1) * r
 
 
@@ -150,13 +146,11 @@ def _start_search(
 
 
 def det_nrc(hg: Hypergraph, workers: int = 1) -> SearchOutcome:
-    """Decide no-rainbow r-colorability in two passes over the first
-    start_count(n, r) (subset, b) starts, stopping at the first certified
-    success: each start's root alone (in-process, counted as one node and
-    one trial if it certifies), then each start at the full search radius.
-    Those starts hold node 0 in their subset, and every witness relabelled by
-    its class minima is reached from one; so either pass stops where a pass
-    over every start would.
+    """Decide no-rainbow r-colorability in two passes over det_starts,
+    stopping at the first certified success: each start's root alone
+    (in-process, counted as one node and one trial if it certifies), then
+    each start at the full search radius. As det_starts says, either pass
+    stops where a pass over every (subset, b) would.
 
     n < r admits no surjective coloring, so the answer is immediate. With
     workers > 1 the second pass runs in parallel chunks; the decision is
@@ -175,12 +169,11 @@ def det_nrc(hg: Hypergraph, workers: int = 1) -> SearchOutcome:
 
 def _root_certificate(hg: Hypergraph, stats: SearchStats) -> Optional[list[int]]:
     """The first root coloring with no rainbow edge, found by that start's
-    radius-0 search, which counts it in stats, or None. Relabelled by its
-    class minima, a root is the root of a start whose subset holds node 0, so
-    the first start_count(n, r) starts suffice. Only the subset's r-1 nodes
-    not colored b differ from b, so a rainbow edge must contain all of them."""
+    radius-0 search, which counts it in stats, or None; det_starts says why
+    its starts suffice. Only the subset's r-1 nodes not colored b differ from
+    b, so a rainbow edge must contain all of them."""
     inc = hg.incidence
-    for subset, b in itertools.islice(enumerate_initial_pairs(hg), start_count(hg.n, hg.r)):
+    for subset, b in det_starts(hg.n, hg.r):
         if not functools.reduce(operator.and_, [inc[v] for c, v in enumerate(subset, 1) if c != b]):
             return _start_search(hg, subset, b, 0, stats)
     return None
@@ -188,7 +181,7 @@ def _root_certificate(hg: Hypergraph, stats: SearchStats) -> Optional[list[int]]
 
 def _det_range(hg: Hypergraph, lo: int, hi: int, stats: SearchStats) -> Optional[list[int]]:
     radius = search_radius(hg.n, hg.r)
-    for subset, b in itertools.islice(enumerate_initial_pairs(hg), lo, hi):
+    for subset, b in itertools.islice(det_starts(hg.n, hg.r), lo, hi):
         certificate = _start_search(hg, subset, b, radius, stats)
         if certificate is not None:
             return certificate

@@ -1,12 +1,12 @@
 """Plain reference predicates that tests compare the package against, the
 certificate definition among them, the line-by-line instance parser, the
-product-order oracle, the class-minimum start set det searches, the
-one-start walk, and the witness-aligned walk starts of the success-rate
-tests."""
+product-order oracle, every (subset, b) start in order and the
+class-minimum starts det searches among them, the one-start walk, and the
+witness-aligned walk starts of the success-rate tests."""
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -16,7 +16,6 @@ from norainbow import (
     Hypergraph,
     SearchOutcome,
     SearchStats,
-    enumerate_initial_pairs,
     is_no_rainbow_coloring,
     lockstep_walks,
 )
@@ -154,6 +153,16 @@ def fallback_edge(hg: Hypergraph, coloring: list[int], frozen: set[int]) -> Opti
         if count > most and is_rainbow_edge(hg, coloring, ei):
             best, most = ei, count
     return best
+
+
+def enumerate_initial_pairs(hg: Hypergraph) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield every start (subset, b) of the paper's search, C(n, r) * r in
+    all: each r-subset in ascending order, and for each, each background
+    color b in 1..r. det's starts, those whose subset holds node 0, come
+    first."""
+    for subset in itertools.combinations(range(hg.n), hg.r):
+        for b in range(1, hg.r + 1):
+            yield subset, b
 
 
 def first_root_certificate(hg: Hypergraph) -> Optional[list[int]]:

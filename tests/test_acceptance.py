@@ -15,9 +15,8 @@ import pytest
 
 from norainbow import (
     COLORABLE,
-    Hypergraph,
     det_nrc,
-    enumerate_initial_pairs,
+    det_starts,
     is_no_rainbow_coloring,
     lockstep_walks,
     rand_nrc,
@@ -144,14 +143,14 @@ def test_c4_initial_pair_count():
     bad = []
     for r in (3, 4, 5):
         for n in range(r, 13):
-            got = sum(1 for _ in enumerate_initial_pairs(Hypergraph(n, r)))
-            want = math.comb(n, r) * r
+            got = sum(1 for _ in det_starts(n, r))
+            want = math.comb(n - 1, r - 1) * r
             if got != want:
                 bad.append((n, r, got, want))
     _report(
-        "C4 initial pair count",
+        "C4 start count",
         not bad,
-        f"C(n,r)*r exact for r in 3..5, n <= 12; deviations: {bad}",
+        f"C(n-1,r-1)*r exact for r in 3..5, n <= 12; deviations: {bad}",
     )
 
 

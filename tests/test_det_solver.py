@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -13,17 +14,24 @@ from norainbow import (
     Hypergraph,
     SearchStats,
     det_nrc,
-    enumerate_initial_pairs,
+    det_starts,
     hypergraph,
     is_no_rainbow_coloring,
     local_search,
+    rand_nrc,
     search_radius,
 )
 from norainbow.det_solver import start_count
 from norainbow.instances import gen_complete, gen_planted, gen_random
 from norainbow.oracle import oracle_decide, oracle_verify_certificate
 
-from reference import class_minimum_starts, first_root_certificate, hamming, reference_det_search
+from reference import (
+    class_minimum_starts,
+    enumerate_initial_pairs,
+    first_root_certificate,
+    hamming,
+    reference_det_search,
+)
 from strategies import hypergraphs
 
 # gen_random(6, 12, 3, 6) is NOT_COLORABLE and forces real branching
@@ -53,24 +61,26 @@ def test_search_radius_rejects_degenerate():
 
 
 def test_initial_pair_counts():
-    assert len(list(enumerate_initial_pairs(Hypergraph(3, 3)))) == 3
-    assert len(list(enumerate_initial_pairs(Hypergraph(4, 3)))) == 12
-    assert len(list(enumerate_initial_pairs(Hypergraph(5, 4)))) == 20
+    for n, r, every in ((3, 3, 3), (4, 3, 12), (5, 4, 20)):
+        hg = Hypergraph(n, r)
+        assert len(list(enumerate_initial_pairs(hg))) == every == math.comb(n, r) * r
+        assert list(det_starts(n, r)) == class_minimum_starts(hg)
+        assert len(class_minimum_starts(hg)) == start_count(n, r) == math.comb(n - 1, r - 1) * r
 
 
 def test_initial_pairs_structure():
-    starts = list(enumerate_initial_pairs(Hypergraph(4, 3)))
-    assert len(set(starts)) == 12
+    starts = list(det_starts(4, 3))
+    assert starts == class_minimum_starts(Hypergraph(4, 3))
+    assert len(set(starts)) == start_count(4, 3) == math.comb(3, 2) * 3
     for subset, b in starts:
-        assert list(subset) == sorted(subset) and len(subset) == 3
+        assert list(subset) == sorted(subset) and len(subset) == 3 and subset[0] == 0
         assert 1 <= b <= 3
     # subset-major, background-minor ordering
     assert starts[:3] == [((0, 1, 2), 1), ((0, 1, 2), 2), ((0, 1, 2), 3)]
 
 
 def test_initial_pairs_require_enough_nodes():
-    with pytest.raises(ValueError):
-        next(enumerate_initial_pairs(Hypergraph(2, 3)))
+    assert list(det_starts(2, 3)) == [] and start_count(2, 3) == 0
 
 
 def test_local_search_forced_instance():
@@ -366,9 +376,10 @@ def _plain_det(hg, starts):
 
 def test_class_minimum_starts_are_the_head_of_the_order():
     for r in range(2, 6):
-        for n in range(r, 11):
+        for n in range(1, 11):
             hg = Hypergraph(n, r)
             prefix = class_minimum_starts(hg)
+            assert list(det_starts(n, r)) == prefix
             assert len(prefix) == start_count(n, r) == math.comb(n - 1, r - 1) * r
             assert prefix == list(itertools.islice(enumerate_initial_pairs(hg), start_count(n, r)))
 
@@ -414,6 +425,61 @@ def test_det_colorable_full_pass_stops_inside_class_minimum_starts():
         assert got == _plain_det(hg, list(enumerate_initial_pairs(hg)))
         full_pass += first_root_certificate(hg) is None
     assert full_pass >= 40
+
+
+def _refute_corpus():
+    """60 seeded random instances, r 2-4 and n <= 10, about 40% uncolorable."""
+    rng = random.Random(7)
+    for _ in range(60):
+        r = rng.randint(2, 4)
+        n = rng.randint(r, 10)
+        m = rng.randint(1, min(30, math.comb(n, r)))
+        yield gen_random(n, m, r, rng.randrange(10**6))
+
+
+def _relabellings(hg, rng):
+    """(perm, perm(H)) for the reversal v -> n-1-v, which moves node 0 and so
+    every start det searches, and for one random permutation: edge
+    (u, ..., w) becomes (perm[u], ..., perm[w])."""
+    shuffled = list(range(hg.n))
+    rng.shuffle(shuffled)
+    for perm in (list(range(hg.n - 1, -1, -1)), shuffled):
+        yield perm, Hypergraph(hg.n, hg.r, np.asarray(perm)[hg.rows])
+
+
+def test_det_decisions_survive_node_relabelling():
+    # det searches only the starts that hold node 0; a node relabelling
+    # must leave its decision, its certificate's validity and the oracle's
+    # witness count where they were
+    rng = random.Random(5)
+    past_root = refuted = 0
+    for hg in itertools.chain(_dense_colorable_corpus(), _refute_corpus()):
+        base, report = det_nrc(hg), oracle_decide(hg)
+        assert base.decision == report.decision
+        for perm, moved in _relabellings(hg, rng):
+            out = det_nrc(moved)
+            assert out.decision == base.decision
+            assert oracle_decide(moved).witness_count == report.witness_count
+            past_root += out.stats.recursion_nodes > 1 or not out.colorable
+            refuted += not out.colorable
+            if base.colorable:
+                certificate = [0] * hg.n
+                for v, color in enumerate(base.certificate):
+                    certificate[perm[v]] = color
+                assert is_no_rainbow_coloring(moved, certificate)
+                assert oracle_verify_certificate(moved, certificate)
+    assert past_root >= 120 and refuted >= 40
+
+
+def test_rand_stays_one_sided_under_node_relabelling():
+    rng = random.Random(5)
+    refuted = 0
+    for seed, hg in enumerate(_refute_corpus()):
+        colorable = oracle_decide(hg).witness_count > 0
+        refuted += not colorable
+        for _, moved in _relabellings(hg, rng):
+            assert colorable or not rand_nrc(moved, master_seed=seed).colorable
+    assert refuted >= 20
 
 
 def test_det_former_n200_hang_certifies_at_a_root():
