@@ -182,8 +182,6 @@ def cmd_bench(args) -> int:
             raise ValueError(f"unknown algo {algo!r}; choose from {', '.join(ALGOS)}")
     if args.reps < 1:
         raise ValueError(f"--reps must be >= 1, got {args.reps}")
-    if args.threads < 1:
-        raise ValueError(f"workers must be >= 1, got {args.threads}")
     if "rand" in algos:
         check_alpha(args.alpha)
     corpus: list[tuple[str, Hypergraph]] = []
@@ -268,6 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "threads", 1) < 1:  # every command that takes --threads
+            raise ValueError(f"workers must be >= 1, got {args.threads}")
         return args.func(args)
     except (ParseError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

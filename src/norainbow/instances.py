@@ -10,7 +10,8 @@ from typing import Optional
 
 from .hypergraph import Hypergraph, format_certificate, parse_certificate
 
-FAMILIES = ("random", "planted", "complete")
+# the spec keys each family reads besides n and r; generate refuses a nonzero other one
+FAMILIES = {"random": ("m", "seed"), "planted": ("m", "seed"), "complete": ()}
 # below this many r-subsets, sample by enumeration; above it, by rejection
 _ENUMERATE_LIMIT = 200_000
 
@@ -19,7 +20,7 @@ _ENUMERATE_LIMIT = 200_000
 class InstanceSpec:
     """Generator parameters for one reproducible instance, named by its token."""
 
-    family: str  # one of FAMILIES
+    family: str  # a key of FAMILIES
     n: int
     r: int
     m: int = 0
@@ -28,21 +29,20 @@ class InstanceSpec:
     def generate(self) -> tuple[Hypergraph, Optional[list[int]]]:
         if self.n < self.r:
             raise ValueError(f"instance spec needs n >= r, got n={self.n}, r={self.r}")
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown instance family {self.family!r}")
+        for key in ("m", "seed"):  # instance_id could not name a key the family does not read
+            if getattr(self, key) and key not in FAMILIES[self.family]:
+                raise ValueError(f"a {self.family} instance takes no {key}, got {key}={getattr(self, key)}")
         if self.family == "random":
             return gen_random(self.n, self.m, self.r, self.seed), None
         if self.family == "planted":
             return gen_planted(self.n, self.m, self.r, self.seed)
-        if self.family == "complete":
-            if self.m or self.seed:  # instance_id could not name them
-                key = "m" if self.m else "seed"
-                raise ValueError(f"a complete instance takes no {key}, got {key}={getattr(self, key)}")
-            return gen_complete(self.n, self.r), None
-        raise ValueError(f"unknown instance family {self.family!r}")
+        return gen_complete(self.n, self.r), None
 
     def instance_id(self) -> str:
-        if self.family == "complete":
-            return f"complete:r={self.r},n={self.n}"
-        return f"{self.family}:r={self.r},n={self.n},m={self.m},seed={self.seed}"
+        keys = "".join(f",{key}={getattr(self, key)}" for key in FAMILIES[self.family])
+        return f"{self.family}:r={self.r},n={self.n}{keys}"
 
     @classmethod
     def parse(cls, token: str) -> list[InstanceSpec]:

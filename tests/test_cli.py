@@ -331,12 +331,21 @@ def test_solve_threads_flag(capsys, planted, complete43):
 
 
 def test_solve_threads_must_be_positive(capsys, planted):
-    for algo in ("det", "rand"):
+    # the oracle runs no workers, but --threads below 1 is still refused
+    for algo in ("det", "rand", "oracle"):
         for threads in ("0", "-1"):
             code, out, err = run_cli(capsys, "solve", planted, "--algo", algo, "--threads", threads)
             assert code == 1
             assert out == ""
-            assert err.startswith("error: workers must be >= 1")
+            assert err == f"error: workers must be >= 1, got {threads}\n"
+
+
+def test_decisive_threads_must_be_positive(capsys, tmp_path):
+    z54 = tmp_path / "z54.nrc"
+    z54.write_text("p nrc 5 0 4\n")  # NOT-DECISIVE on any valid --threads
+    for algo in ("det", "rand", "oracle"):
+        code, out, err = run_cli(capsys, "decisive", str(z54), "--algo", algo, "--threads", "0")
+        assert (code, out, err) == (1, "", "error: workers must be >= 1, got 0\n")
 
 
 def test_solve_rand_alpha_checked_on_degenerate_inputs(capsys, tmp_path):

@@ -173,6 +173,8 @@ def test_parse_errors_name_lines():
         parse_instance("p nrc 3 2 3\n1 2 3\n")
     with pytest.raises(ParseError, match="header"):
         parse_instance("c only comments\n")
+    with pytest.raises(ParseError, match=r"^line 1: malformed header 'p nrc 3 x 2'$"):
+        parse_instance("p nrc 3 x 2\n")
 
 
 def test_parse_skips_comments_and_blanks():

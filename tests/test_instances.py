@@ -110,15 +110,20 @@ def test_instance_spec_parse_inverts_instance_id(spec):
 
 
 def test_every_generated_spec_is_named_by_its_instance_id():
-    # a spec generate accepts is the one spec its instance_id parses back to
-    for family in FAMILIES:
+    # a spec generate accepts is the one spec its instance_id parses back to, and
+    # generate refuses exactly the specs that set a key their family does not read
+    for family, reads in FAMILIES.items():
         for m, seed in ((0, 0), (7, 0), (0, 3), (7, 3)):
             spec = InstanceSpec(family, 6, 3, m, seed)
+            unread = [(key, value) for key, value in (("m", m), ("seed", seed)) if value and key not in reads]
             try:
                 spec.generate()
             except ValueError as exc:
-                assert family == "complete" and (m or seed), exc
+                assert unread, exc
+                key, value = unread[0]
+                assert str(exc) == f"a {family} instance takes no {key}, got {key}={value}"
                 continue
+            assert not unread
             assert InstanceSpec.parse(spec.instance_id()) == [spec]
 
 
