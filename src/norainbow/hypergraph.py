@@ -116,10 +116,10 @@ class SearchStats:
 
     trials counts the starts searched: det's full-radius starts, from
     det_starts, or the one root of its sweep that certifies; for rand, all
-    C(n, r) subsets of every round run (its walks and the subsets that are
-    edges). recursion_nodes counts det's search-tree nodes (1 for that
-    root) and the state evaluations of every rand walk of every round run,
-    max_start_nodes the most of any one start.
+    C(n, r) subsets of every round up to the first with a hit (its walks
+    and the subsets that are edges). recursion_nodes counts det's
+    search-tree nodes (1 for that root) and the state evaluations of every
+    rand walk of those rounds, max_start_nodes the most of any one start.
     fallback_nodes stays 0 (det takes no fallback branch, rand counts its
     fallback steps as nodes); `c stats ... fallback=` and perfbench read it.
     """

@@ -5,17 +5,21 @@ A round walks from every r-subset F of the nodes that is not an edge: F is
 frozen on the colors 1..r in node order, every other node gets a uniform
 color, and each walk recolors the unfrozen node of a nearly-frozen rainbow
 edge to a uniformly random other color, freezing it, for at most n - r
-steps. The round's K walks run in lockstep on (K, n) color and frozen
-arrays, and round t draws everything from its own Generator, keyed on
-(master_seed, t): first the K backgrounds, then each step's choices.
-NOT_COLORABLE answers are therefore one-sided: a witness may be missed, but
-every COLORABLE answer carries a verified certificate.
+steps. Round t draws everything from its own Generator, keyed on
+(master_seed, t): first its K backgrounds, then per step the node picks
+and then the colors of its live walks. Rounds run in lockstep batches of
+1, 2, 4, ... rounds, one row per walk and one block of K rows per round,
+and are counted through the first round with a hit. The certificate and
+the counters are therefore those of running the rounds one at a time.
+NOT_COLORABLE answers are one-sided: a witness may be missed, but every
+COLORABLE answer carries a verified certificate.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -25,6 +29,8 @@ from .hypergraph import Hypergraph, SearchOutcome, SearchStats
 from .parallel import search_ranges
 
 DEFAULT_TRIAL_CAP = 10**6
+# Rows x edges of one batch of rounds; a single round may exceed it.
+_BATCH_CELLS = 1 << 17
 
 
 def trial_count(n: int, r: int, alpha: float, cap: int = DEFAULT_TRIAL_CAP) -> int:
@@ -57,20 +63,25 @@ class Walks(NamedTuple):
     evaluations: np.ndarray  # (K,) states each walk evaluated
 
 
-def lockstep_walks(hg: Hypergraph, colors, frozen, rng: np.random.Generator) -> Walks:
+def lockstep_walks(hg: Hypergraph, colors, frozen, rng) -> Walks:
     """One random repair walk from each row of the (K, n) integer colors
     and (K, n) bool frozen arrays, all stepped at once. Each row's frozen
     set must be r nodes carrying every color 1..r. The inputs are copied.
+    rng is one Generator, or a sequence of Generators that each own an
+    equal block of rows, in order.
 
     Every live walk evaluates its state, for at most n - r + 1 evaluations,
     and leaves at the first exit that applies: no rainbow edge certifies the
     coloring; a fully frozen rainbow edge fails the walk; no edge with
     exactly r-1 frozen nodes certifies the frozen colors with every unfrozen
     node set to 1. Otherwise it takes one step (_recolor). The remaining
-    walks then draw from rng, in row order, one node pick each and then one
-    color each.
+    walks of each block then draw from its Generator, in row order, one
+    node pick each and then one color each.
     """
     colors, frozen = _checked_starts(hg, colors, frozen)
+    streams = _streams(rng)
+    if not streams or len(colors) % len(streams):
+        raise ValueError(f"{len(colors)} rows do not split into {len(streams)} equal blocks")
     edges = hg.rows
     certified = np.zeros(len(colors), dtype=bool)
     evaluations = np.zeros(len(colors), dtype=np.int64)
@@ -90,7 +101,7 @@ def lockstep_walks(hg: Hypergraph, colors, frozen, rng: np.random.Generator) -> 
         live = live[step]
         if not live.size:
             break
-        _recolor(hg.r, edges, colors, frozen, live, rainbow[step], frozen_count[step], rng)
+        _recolor(hg.r, edges, colors, frozen, live, rainbow[step], frozen_count[step], streams)
     return Walks(colors, frozen, certified, evaluations)
 
 
@@ -110,15 +121,28 @@ def _edge_state(r: int, edges: np.ndarray, colors: np.ndarray, frozen: np.ndarra
 def _recolor(r, edges, colors, frozen, rows, rainbow, frozen_count, rng) -> None:
     """One step of each walk in rows: on the lowest rainbow edge with the
     most frozen nodes (the lowest with r-1 when there is one), recolor a
-    uniform unfrozen node to a uniform other color and freeze it."""
+    uniform unfrozen node to a uniform other color and freeze it. Each
+    Generator of rng draws the picks and then the colors of its block's
+    rows."""
     edge = edges[(rainbow * (frozen_count + 1)).argmax(axis=1)]
     free = ~frozen[rows[:, None], edge]
-    pick = rng.integers(free.sum(axis=1))
+    free_count, streams = free.sum(axis=1), _streams(rng)
+    cuts = np.searchsorted(rows, np.arange(len(streams) + 1) * (len(colors) // len(streams))).tolist()
+    picks, new = [], []
+    for stream, lo, hi in zip(streams, cuts, cuts[1:]):
+        if lo < hi:
+            picks.append(stream.integers(free_count[lo:hi]))
+            new.append(stream.integers(1, r, size=hi - lo))
+    pick, color = np.concatenate(picks), np.concatenate(new)
     v = edge[np.arange(len(rows)), (free.cumsum(axis=1) > pick[:, None]).argmax(axis=1)]
-    color = rng.integers(1, r, size=len(rows))
     color += color >= colors[rows, v]
     colors[rows, v] = color
     frozen[rows, v] = True
+
+
+def _streams(rng) -> list:
+    """lockstep_walks's rng as a list of Generators, one per block of rows."""
+    return list(rng) if isinstance(rng, Sequence) else [rng]
 
 
 def _powers(r: int) -> np.ndarray:
@@ -172,6 +196,8 @@ def rand_nrc(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if master_seed < 0:
+        raise ValueError(f"master_seed must be >= 0, got {master_seed}")
     check_alpha(alpha)
     stats = SearchStats()
     if hg.n < hg.r:
@@ -186,24 +212,38 @@ def rand_nrc(
 
 def _rand_range(hg: Hypergraph, lo: int, hi: int, stats: SearchStats, master_seed: int) -> Optional[list[int]]:
     """Run restart rounds lo..hi-1. Each round counts all C(n, r) subsets as
-    trials and walks from the K that are not edges, as one lockstep batch."""
+    trials and walks from the K that are not edges, drawing from its own
+    Generator. Rounds run as lockstep batches of 1, 2, 4, ... rounds, capped
+    at _BATCH_CELLS rows x edges; a round is never split, so a round above
+    the cap runs alone. Work is counted through the first round with a hit,
+    whose lowest certified subset gives the certificate."""
     edges = set(hg.edges)
     starts = [s for s in itertools.combinations(range(hg.n), hg.r) if s not in edges]
+    if not starts:
+        stats.trials += math.comb(hg.n, hg.r) * (hi - lo)
+        return None
     rows = np.arange(len(starts))[:, None]
-    starts = np.array(starts, dtype=np.intp).reshape(len(starts), hg.r)
+    starts = np.array(starts, dtype=np.intp)
     frozen = np.zeros((len(starts), hg.n), dtype=bool)
     frozen[rows, starts] = True
-    for trial in range(lo, hi):
-        stats.trials += math.comb(hg.n, hg.r)
-        if not len(starts):
-            continue
-        rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(trial,)))
-        colors = rng.integers(1, hg.r + 1, size=frozen.shape)
-        colors[rows, starts] = np.arange(1, hg.r + 1)
-        walks = lockstep_walks(hg, colors, frozen, rng)
-        stats.recursion_nodes += int(walks.evaluations.sum())
-        stats.max_start_nodes = max(stats.max_start_nodes, int(walks.evaluations.max()))
+    cap = max(1, _BATCH_CELLS // (len(starts) * hg.m))
+    batch = 1
+    while lo < hi:
+        rngs = [
+            np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(t,)))
+            for t in range(lo, min(lo + batch, hi))
+        ]
+        colors = np.stack([rng.integers(1, hg.r + 1, size=frozen.shape) for rng in rngs])
+        colors[:, rows, starts] = np.arange(1, hg.r + 1)
+        walks = lockstep_walks(hg, colors.reshape(-1, hg.n), np.tile(frozen, (len(rngs), 1)), rngs)
         hits = np.flatnonzero(walks.certified)
+        done = int(hits[0]) // len(starts) + 1 if hits.size else len(rngs)
+        evaluations = walks.evaluations[: done * len(starts)]
+        stats.trials += math.comb(hg.n, hg.r) * done
+        stats.recursion_nodes += int(evaluations.sum())
+        stats.max_start_nodes = max(stats.max_start_nodes, int(evaluations.max()))
         if hits.size:
             return walks.colors[hits[0]].tolist()
+        lo += len(rngs)
+        batch = min(2 * batch, cap)
     return None

@@ -1,11 +1,13 @@
 """Plain reference predicates that tests compare the package against, the
 certificate definition among them, the line-by-line instance parser, the
 product-order oracle, every (subset, b) start in order and the
-class-minimum starts det searches among them, the one-start walk, and the
-witness-aligned walk starts of the success-rate tests."""
+class-minimum starts det searches among them, the one-start walk, rand's
+one-round-at-a-time loop, and the witness-aligned walk starts of the
+success-rate tests."""
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -258,6 +260,33 @@ def rand_local_search(
     certificate = walks.colors[0].tolist()
     assert is_no_rainbow_coloring(hg, certificate)
     return SearchOutcome(COLORABLE, certificate, stats)
+
+
+def reference_rand_range(
+    hg: Hypergraph, lo: int, hi: int, stats: SearchStats, master_seed: int
+) -> Optional[list[int]]:
+    """rand's restart rounds lo..hi-1 without batching: each round is its own
+    lockstep_walks call on its K non-edge subsets, with its own Generator."""
+    edges = set(hg.edges)
+    starts = [s for s in itertools.combinations(range(hg.n), hg.r) if s not in edges]
+    rows = np.arange(len(starts))[:, None]
+    starts = np.array(starts, dtype=np.intp).reshape(len(starts), hg.r)
+    frozen = np.zeros((len(starts), hg.n), dtype=bool)
+    frozen[rows, starts] = True
+    for trial in range(lo, hi):
+        stats.trials += math.comb(hg.n, hg.r)
+        if not len(starts):
+            continue
+        rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(trial,)))
+        colors = rng.integers(1, hg.r + 1, size=frozen.shape)
+        colors[rows, starts] = np.arange(1, hg.r + 1)
+        walks = lockstep_walks(hg, colors, frozen, rng)
+        stats.recursion_nodes += int(walks.evaluations.sum())
+        stats.max_start_nodes = max(stats.max_start_nodes, int(walks.evaluations.max()))
+        hits = np.flatnonzero(walks.certified)
+        if hits.size:
+            return walks.colors[hits[0]].tolist()
+    return None
 
 
 def witness_aligned_starts(

@@ -348,6 +348,16 @@ def test_decisive_threads_must_be_positive(capsys, tmp_path):
         assert (code, out, err) == (1, "", "error: workers must be >= 1, got 0\n")
 
 
+def test_solve_rand_refuses_a_negative_seed(capsys, tmp_path, planted, zero_edge):
+    # the edgeless and complete 3,3 inputs are answered without a Generator,
+    # but the seed is still checked
+    complete33 = tmp_path / "c33.nrc"
+    complete33.write_text(write_instance(gen_complete(3, 3)))
+    for path in (planted, zero_edge, str(complete33)):
+        code, out, err = run_cli(capsys, "solve", path, "--algo", "rand", "--seed", "-1")
+        assert (code, out, err) == (1, "", "error: master_seed must be >= 0, got -1\n")
+
+
 def test_solve_rand_alpha_checked_on_degenerate_inputs(capsys, tmp_path):
     # n < r and m = 0 are answered without trials, but alpha is still checked
     for alpha, message in (("0.5", "alpha must be > 1, got 0.5"), ("inf", "alpha must be finite, got inf")):

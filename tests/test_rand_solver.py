@@ -19,7 +19,7 @@ from norainbow import (
     rand_solver,
     trial_count,
 )
-from norainbow.instances import gen_complete, gen_planted
+from norainbow.instances import gen_complete, gen_planted, gen_random
 from norainbow.oracle import oracle_verify_certificate
 
 from reference import (
@@ -28,6 +28,7 @@ from reference import (
     first_rainbow_edge,
     has_fully_frozen_rainbow,
     rand_local_search,
+    reference_rand_range,
     reference_walk,
     select_branch_edge,
     witness_aligned_starts,
@@ -415,11 +416,13 @@ def test_round_returns_lowest_certified_subset(monkeypatch):
 
 
 def test_rand_range_split_by_rounds():
-    # rounds are keyed by their index, so [0, T) is [0, k) then [k, T)
+    # rounds are keyed by their index, so [0, T) is [0, k) then [k, T);
+    # [0, T) runs the batches [0, 1), [1, 3), [3, 7), ..., so k = 2, 4 and 5
+    # fall inside a batch; for planted718, 4 and 5 inside its winning one
     for hg, rounds in ((BRANCHY_UNSAT, 18), (INSTANCES["planted718"], 6)):
         whole = SearchStats()
         certificate = rand_solver._rand_range(hg, 0, rounds, whole, master_seed=0)
-        for k in (1, 3):
+        for k in (1, 2, 3, 4, 5):
             parts = SearchStats()
             first = rand_solver._rand_range(hg, 0, k, parts, master_seed=0)
             second = first or rand_solver._rand_range(hg, k, rounds, parts, master_seed=0)
@@ -444,3 +447,111 @@ def test_round_without_starts_draws_nothing(monkeypatch):
     stats = SearchStats()
     assert rand_solver._rand_range(gen_complete(7, 3), 0, 4, stats, master_seed=0) is None
     assert (stats.trials, stats.recursion_nodes) == (4 * math.comb(7, 3), 0)
+
+
+def test_rand_nrc_rejects_a_negative_seed():
+    # including the inputs answered without any Generator
+    for hg in (gen_planted(8, 12, 3, 7)[0], Hypergraph(4, 3), gen_complete(3, 3)):
+        with pytest.raises(ValueError, match=r"^master_seed must be >= 0, got -1$"):
+            rand_nrc(hg, master_seed=-1)
+
+
+@settings(max_examples=60)
+@given(walk_batches(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_each_block_walks_as_its_own_call(batch, blocks, seed):
+    # with a sequence of Generators, each walks its own block of rows: every
+    # block ends as a call of its own would, fed a fresh copy of its Generator
+    hg, starts = batch
+    colors, frozen = _starts(hg.n, *zip(*starts))
+    streams = lambda: [np.random.default_rng([seed, b]) for b in range(blocks)]
+    together = lockstep_walks(hg, np.tile(colors, (blocks, 1)), np.tile(frozen, (blocks, 1)), streams())
+    for b, rng in enumerate(streams()):
+        alone = lockstep_walks(hg, colors, frozen, rng)
+        rows = slice(b * len(starts), (b + 1) * len(starts))
+        for got, expected in zip(together, alone):
+            assert (got[rows] == expected).all()
+
+
+def test_walks_need_equal_blocks_of_rows():
+    colors, frozen = _starts(4, [[1, 2, 3, 1]] * 3, [{0, 1, 2}] * 3)
+    hg = Hypergraph(4, 3, ((0, 1, 3),))
+    for streams in ([], [np.random.default_rng(0), np.random.default_rng(1)]):
+        with pytest.raises(ValueError, match=f"^3 rows do not split into {len(streams)} equal blocks$"):
+            lockstep_walks(hg, colors, frozen, streams)
+
+
+def _round_rows(hg):
+    """K: the walks of one round, one per r-subset that is not an edge."""
+    edges = set(hg.edges)
+    return sum(s not in edges for s in itertools.combinations(range(hg.n), hg.r))
+
+
+DEFAULT_BATCH_CELLS = rand_solver._BATCH_CELLS
+
+
+def _budgets(hg):
+    """_BATCH_CELLS values to test on hg: below one round, one round's
+    cells, three rounds' cells, and the default."""
+    cells = _round_rows(hg) * hg.m
+    return (1, cells, 3 * cells, DEFAULT_BATCH_CELLS)
+
+
+def _small_random_instances(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        r = rng.randint(2, 4)
+        n = rng.randint(r + 1, 8)
+        yield gen_random(n, rng.randint(1, min(20, math.comb(n, r))), r, rng.randrange(10**6))
+
+
+def _assert_matches_reference(monkeypatch, hg, ranges, seeds):
+    for budget in _budgets(hg):
+        monkeypatch.setattr(rand_solver, "_BATCH_CELLS", budget)
+        for (lo, hi), seed in itertools.product(ranges, seeds):
+            batched, expected = SearchStats(), SearchStats()
+            certificate = rand_solver._rand_range(hg, lo, hi, batched, master_seed=seed)
+            assert certificate == reference_rand_range(hg, lo, hi, expected, master_seed=seed)
+            assert batched == expected
+            assert all(type(value) is int for value in vars(batched).values())
+
+
+@pytest.mark.parametrize("name", ["branchy", "planted", "planted718", "complete73", "fallback"])
+def test_rand_range_matches_one_round_per_call(monkeypatch, name):
+    # planted718 wins in round 3: the range from 1 runs it inside the batch
+    # [2, 4), the range from 2 at the head of [3, 5), with round 4 after it
+    _assert_matches_reference(monkeypatch, INSTANCES[name], ((0, 12), (1, 12), (2, 9), (5, 6)), (0, 1, 2))
+
+
+def test_rand_range_matches_one_round_per_call_on_random_instances(monkeypatch):
+    for hg in _small_random_instances(30, seed=24):
+        _assert_matches_reference(monkeypatch, hg, ((0, 7), (3, 10)), (0, 5))
+
+
+def _batch_rows(monkeypatch):
+    """The row count of every lockstep_walks call rand_solver makes."""
+    rows = []
+
+    def recording(hg, colors, frozen, rng):
+        rows.append(len(colors))
+        return lockstep_walks(hg, colors, frozen, rng)
+
+    monkeypatch.setattr(rand_solver, "lockstep_walks", recording)
+    return rows
+
+
+@pytest.mark.parametrize("hg", [BRANCHY_UNSAT, gen_random(12, 120, 3, 0)], ids=["branchy", "random12"])
+def test_batches_double_up_to_the_cell_budget(monkeypatch, hg):
+    # both are uncolorable, so every round of [1, 41) runs; the default
+    # budget caps random12's batches at 10 rounds of 100 walks on 120 edges
+    rounds, k = 40, _round_rows(hg)
+    for budget in (*_budgets(hg), 5 * k * hg.m + k * hg.m - 1):
+        monkeypatch.setattr(rand_solver, "_BATCH_CELLS", budget)
+        rows = _batch_rows(monkeypatch)
+        assert rand_solver._rand_range(hg, 1, rounds + 1, SearchStats(), master_seed=0) is None
+        cap = max(1, budget // (k * hg.m))
+        sizes = [count // k for count in rows]
+        assert all(count % k == 0 for count in rows)  # no round is split
+        assert all(count * hg.m <= budget or count == k for count in rows)
+        assert sum(sizes) == rounds
+        assert sizes[:-1] == [min(2**i, cap) for i in range(len(sizes) - 1)]
+        assert 1 <= sizes[-1] <= min(2 ** (len(sizes) - 1), cap)

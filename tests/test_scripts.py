@@ -40,3 +40,15 @@ def test_scaling_bench_reports_us_per_node(tmp_path):
     assert "start_bound" in rows[0]
     assert all(row["decision"] == "NOT_COLORABLE" for row in rows)
     assert all(row["starts"] == row["start_bound"] for row in rows)
+
+
+def test_success_rate_reports_us_per_walk_evaluation(tmp_path):
+    args = ["--n", "6", "--m", "4", "--instances", "2", "--alphas", "1.1,2"]
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "success_rate.py"), *args], cwd=tmp_path, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    header, *rows = done.stdout.splitlines()[1:]
+    assert header.split()[-1] == "us/eval"
+    assert len(rows) == 2
+    assert all(float(row.split()[-1]) > 0 for row in rows)
