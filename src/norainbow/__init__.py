@@ -24,6 +24,6 @@ from .instances import (
     read_planted_witness,
 )
 from .oracle import OracleReport, oracle_decide, oracle_verify_certificate
-from .rand_solver import Walks, lockstep_walks, rand_nrc, trial_count
+from .rand_solver import rand_nrc, trial_count
 
 __version__ = "0.1.0"

@@ -184,6 +184,8 @@ def cmd_bench(args) -> int:
         raise ValueError(f"--reps must be >= 1, got {args.reps}")
     if "rand" in algos:
         check_alpha(args.alpha)
+        if args.seed < 0:  # the first row's seed is the lowest
+            raise ValueError(f"master_seed must be >= 0, got {args.seed}")
     corpus: list[tuple[str, Hypergraph]] = []
     for token in args.corpus:
         corpus.extend(expand_corpus_token(token))

@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Sequence
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -63,25 +62,20 @@ class Walks(NamedTuple):
     evaluations: np.ndarray  # (K,) states each walk evaluated
 
 
-def lockstep_walks(hg: Hypergraph, colors, frozen, rng) -> Walks:
+def lockstep_walks(hg: Hypergraph, colors, frozen, rngs) -> Walks:
     """One random repair walk from each row of the (K, n) integer colors
-    and (K, n) bool frozen arrays, all stepped at once. Each row's frozen
-    set must be r nodes carrying every color 1..r. The inputs are copied.
-    rng is one Generator, or a sequence of Generators that each own an
-    equal block of rows, in order.
+    and (K, n) bool frozen arrays, all stepped at once: rand_nrc's inner
+    step. _rand_range builds every start with r frozen nodes on the colors
+    1..r, so no start is checked here. The inputs are copied. rngs holds one
+    Generator per equal block of rows, in order; a single block passes [rng].
 
     Every live walk evaluates its state, for at most n - r + 1 evaluations,
     and leaves at the first exit that applies: no rainbow edge certifies the
     coloring; a fully frozen rainbow edge fails the walk; no edge with
     exactly r-1 frozen nodes certifies the frozen colors with every unfrozen
-    node set to 1. Otherwise it takes one step (_recolor). The remaining
-    walks of each block then draw from its Generator, in row order, one
-    node pick each and then one color each.
+    node set to 1. Otherwise it takes one step (_recolor).
     """
-    colors, frozen = _checked_starts(hg, colors, frozen)
-    streams = _streams(rng)
-    if not streams or len(colors) % len(streams):
-        raise ValueError(f"{len(colors)} rows do not split into {len(streams)} equal blocks")
+    colors, frozen = np.array(colors), np.array(frozen)
     edges = hg.rows
     certified = np.zeros(len(colors), dtype=bool)
     evaluations = np.zeros(len(colors), dtype=np.int64)
@@ -101,15 +95,15 @@ def lockstep_walks(hg: Hypergraph, colors, frozen, rng) -> Walks:
         live = live[step]
         if not live.size:
             break
-        _recolor(hg.r, edges, colors, frozen, live, rainbow[step], frozen_count[step], streams)
+        _recolor(hg.r, edges, colors, frozen, live, rainbow[step], frozen_count[step], rngs)
     return Walks(colors, frozen, certified, evaluations)
 
 
 def _edge_state(r: int, edges: np.ndarray, colors: np.ndarray, frozen: np.ndarray):
     """(K, m) arrays: whether each edge is rainbow, and its frozen node count.
-    Colors 1..r are distinct exactly when their values 1 << c sum to
-    2^(r+1) - 2."""
-    bits = _powers(r)[colors]
+    Colors 1..r are distinct exactly when their values 1 << c, in a dtype
+    that holds any sum of r of them, sum to 2^(r+1) - 2."""
+    bits = np.array([1 << c for c in range(r + 1)], dtype=np.min_scalar_type(r << r))[colors]
     total = bits[:, edges[:, 0]]
     count = frozen[:, edges[:, 0]].astype(np.min_scalar_type(r + 1))
     for j in range(1, r):
@@ -118,63 +112,27 @@ def _edge_state(r: int, edges: np.ndarray, colors: np.ndarray, frozen: np.ndarra
     return total == (1 << (r + 1)) - 2, count
 
 
-def _recolor(r, edges, colors, frozen, rows, rainbow, frozen_count, rng) -> None:
+def _recolor(r, edges, colors, frozen, rows, rainbow, frozen_count, rngs) -> None:
     """One step of each walk in rows: on the lowest rainbow edge with the
     most frozen nodes (the lowest with r-1 when there is one), recolor a
-    uniform unfrozen node to a uniform other color and freeze it. Each
-    Generator of rng draws the picks and then the colors of its block's
-    rows."""
+    uniform unfrozen node to a uniform other color and freeze it. rngs[i]
+    owns the i-th of len(rngs) equal blocks of colors' rows and draws for
+    its block's walks in rows, in row order: one node pick each, then one
+    color each."""
     edge = edges[(rainbow * (frozen_count + 1)).argmax(axis=1)]
     free = ~frozen[rows[:, None], edge]
-    free_count, streams = free.sum(axis=1), _streams(rng)
-    cuts = np.searchsorted(rows, np.arange(len(streams) + 1) * (len(colors) // len(streams))).tolist()
+    free_count = free.sum(axis=1)
+    cuts = np.searchsorted(rows, np.arange(len(rngs) + 1) * (len(colors) // len(rngs))).tolist()
     picks, new = [], []
-    for stream, lo, hi in zip(streams, cuts, cuts[1:]):
+    for rng, lo, hi in zip(rngs, cuts, cuts[1:]):
         if lo < hi:
-            picks.append(stream.integers(free_count[lo:hi]))
-            new.append(stream.integers(1, r, size=hi - lo))
+            picks.append(rng.integers(free_count[lo:hi]))
+            new.append(rng.integers(1, r, size=hi - lo))
     pick, color = np.concatenate(picks), np.concatenate(new)
     v = edge[np.arange(len(rows)), (free.cumsum(axis=1) > pick[:, None]).argmax(axis=1)]
     color += color >= colors[rows, v]
     colors[rows, v] = color
     frozen[rows, v] = True
-
-
-def _streams(rng) -> list:
-    """lockstep_walks's rng as a list of Generators, one per block of rows."""
-    return list(rng) if isinstance(rng, Sequence) else [rng]
-
-
-def _powers(r: int) -> np.ndarray:
-    """1 << c for c in 0..r, in a dtype that holds any sum of r of them."""
-    return np.array([1 << c for c in range(r + 1)], dtype=np.min_scalar_type(r << r))
-
-
-def _checked_starts(hg: Hypergraph, colors, frozen) -> tuple[np.ndarray, np.ndarray]:
-    """Copies of the walk starts, checked: integer colors in 1..r, and in
-    each row r frozen nodes that carry every color."""
-    colors, frozen = np.array(colors), np.array(frozen)
-    if colors.ndim != 2 or colors.shape[1] != hg.n or frozen.shape != colors.shape:
-        raise ValueError(
-            f"starts need colors and frozen arrays of shape (K, n={hg.n}), "
-            f"got {colors.shape} and {frozen.shape}"
-        )
-    if colors.dtype.kind not in "iu" or frozen.dtype != bool:
-        raise ValueError(
-            f"colors must be integers and frozen flags bools, got {colors.dtype} and {frozen.dtype}"
-        )
-    bad = (colors < 1) | (colors > hg.r)
-    if bad.any():
-        raise ValueError(f"color {colors[bad][0]} outside 1..{hg.r}")
-    counts = frozen.sum(axis=1)
-    if (counts != hg.r).any():
-        raise ValueError(f"start needs exactly r={hg.r} frozen nodes, got {counts[counts != hg.r][0]}")
-    seen = (_powers(hg.r)[colors] * frozen).sum(axis=1)
-    missing = np.flatnonzero(seen != (1 << (hg.r + 1)) - 2)
-    if missing.size:
-        has = sorted(set(colors[missing[0]][frozen[missing[0]]].tolist()))
-        raise ValueError(f"frozen set must witness every color 1..{hg.r}, has {has}")
-    return colors, frozen
 
 
 def rand_nrc(

@@ -19,10 +19,10 @@ from norainbow import (
     SearchOutcome,
     SearchStats,
     is_no_rainbow_coloring,
-    lockstep_walks,
 )
 from norainbow.hypergraph import _header, _parse_edge_lines
 from norainbow.oracle import _TABLE_CELLS, OracleReport
+from norainbow.rand_solver import lockstep_walks
 
 
 def parse_lines(text: str) -> Hypergraph:
@@ -252,7 +252,7 @@ def rand_local_search(
     frozen: lockstep_walks on a batch of this one start."""
     mask = np.zeros((1, hg.n), dtype=bool)
     mask[0, sorted(set(frozen))] = True
-    walks = lockstep_walks(hg, [coloring], mask, rng)
+    walks = lockstep_walks(hg, [coloring], mask, [rng])
     evaluations = int(walks.evaluations[0])
     stats = SearchStats(recursion_nodes=evaluations, trials=1, max_start_nodes=evaluations)
     if not walks.certified[0]:
@@ -280,7 +280,7 @@ def reference_rand_range(
         rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(trial,)))
         colors = rng.integers(1, hg.r + 1, size=frozen.shape)
         colors[rows, starts] = np.arange(1, hg.r + 1)
-        walks = lockstep_walks(hg, colors, frozen, rng)
+        walks = lockstep_walks(hg, colors, frozen, [rng])
         stats.recursion_nodes += int(walks.evaluations.sum())
         stats.max_start_nodes = max(stats.max_start_nodes, int(walks.evaluations.max()))
         hits = np.flatnonzero(walks.certified)

@@ -18,13 +18,13 @@ from norainbow import (
     det_nrc,
     det_starts,
     is_no_rainbow_coloring,
-    lockstep_walks,
     rand_nrc,
     search_radius,
     write_instance,
 )
 from norainbow.instances import gen_complete, gen_planted, gen_random
 from norainbow.oracle import oracle_decide, oracle_verify_certificate
+from norainbow.rand_solver import lockstep_walks
 
 from reference import completion_exit, rand_local_search, witness_aligned_starts
 
@@ -170,7 +170,7 @@ def test_c6_walk_success_lower_bound():
         hg, witness = gen_planted(n, m, 3, 4000 + n)
         streams = 10_000
         rng = np.random.default_rng(np.random.SeedSequence(777, spawn_key=(n,)))
-        walks = lockstep_walks(hg, *witness_aligned_starts(witness, 3, streams, rng), rng)
+        walks = lockstep_walks(hg, *witness_aligned_starts(witness, 3, streams, rng), [rng])
         freq = walks.certified.sum() / streams
         floor = 0.8 * (2 / 3) ** n
         ok &= freq >= floor

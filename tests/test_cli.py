@@ -102,10 +102,11 @@ def test_solve_oracle_stats_line(capsys, complete43, zero_edge):
 
 
 def test_bench_alpha_unchecked_without_rand(capsys):
-    code, out, _ = run_cli(capsys, "bench", "complete:r=3,n=5", "--alpha", "1")
+    # det reads neither alpha nor the seed, so a negative seed is only recorded
+    code, out, _ = run_cli(capsys, "bench", "complete:r=3,n=5", "--alpha", "1", "--seed", "-1")
     assert code == 0
     row = list(csv.reader(io.StringIO(out)))[1]
-    assert row[CSV_HEADER.index("alpha") :][:2] == ["", "NOT_COLORABLE"]
+    assert row[CSV_HEADER.index("seed") :][:3] == ["-1", "", "NOT_COLORABLE"]
 
 
 def test_solve_parse_error(capsys, tmp_path):
@@ -412,6 +413,8 @@ def test_solve_searches_past_the_default_recursion_limit(capsys, tmp_path):
         (["complete:r=3,n=6", "--algos", "oracle,rand", "--alpha", "inf"], "alpha must be finite, got inf"),
         (["complete:r=3,n=6", "--algos", "det,foo"], "unknown algo 'foo'; choose from det, rand, oracle"),
         (["random:n=8,r"], "bad corpus spec field 'r' in 'random:n=8,r'"),
+        (["complete:r=3,n=6", "--algos", "rand", "--seed", "-1"], "master_seed must be >= 0, got -1"),
+        (["complete:r=3,n=6", "--algos", "det,rand", "--reps", "3", "--seed", "-2"], "master_seed must be >= 0, got -2"),
     ],
 )
 def test_bench_refuses_to_run_nothing(capsys, argv, message):

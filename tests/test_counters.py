@@ -21,7 +21,8 @@ import pytest
 
 import numpy as np
 
-from norainbow import COLORABLE, NOT_COLORABLE, det_nrc, lockstep_walks, rand_nrc
+from norainbow import COLORABLE, NOT_COLORABLE, det_nrc, rand_nrc
+from norainbow.rand_solver import lockstep_walks
 from norainbow.instances import gen_complete, gen_planted
 
 from test_det_solver import BRANCHY_UNSAT, FALLBACK_COLORING, FALLBACK_FROZEN, FALLBACK_HG
@@ -101,7 +102,7 @@ def test_walk_counters_pinned():
     colors = np.tile(FALLBACK_COLORING, (len(WALKS), 1))
     frozen = np.zeros(colors.shape, dtype=bool)
     frozen[:, sorted(FALLBACK_FROZEN)] = True
-    walks = lockstep_walks(FALLBACK_HG, colors, frozen, np.random.default_rng(0))
+    walks = lockstep_walks(FALLBACK_HG, colors, frozen, [np.random.default_rng(0)])
     got = [
         ("".join(map(str, row)) if ok else None, int(evaluations))
         for row, ok, evaluations in zip(walks.colors, walks.certified, walks.evaluations)

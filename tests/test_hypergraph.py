@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from norainbow import (
     Hypergraph,
     ParseError,
-    Walks,
     det_nrc,
     det_solver,
     hypergraph,
@@ -26,6 +25,7 @@ from norainbow import (
 )
 from norainbow.hypergraph import _parse_bulk
 from norainbow.instances import gen_complete, gen_planted, gen_random
+from norainbow.rand_solver import Walks
 
 from reference import first_rainbow_edge, hamming, is_rainbow_edge, parse_lines, select_branch_edge
 from strategies import colored_hypergraphs, hypergraphs
@@ -167,6 +167,8 @@ def test_parse_errors_name_lines():
         parse_instance("c hi\np nrc 4 1 3\n1 2 3 4\n")
     with pytest.raises(ParseError, match=r"line 2.*repeated node"):
         parse_instance("p nrc 4 1 3\n1 2 2\n")
+    with pytest.raises(ParseError, match=r"^line 2: non-integer node id$"):
+        parse_instance("p nrc 3 1 3\n1 x 3\n")
     with pytest.raises(ParseError, match="before header"):
         parse_instance("1 2 3\np nrc 3 1 3\n")
     with pytest.raises(ParseError, match="declares"):

@@ -1,7 +1,9 @@
 import multiprocessing
 import time
 
-from norainbow import Hypergraph, SearchStats, parallel
+import pytest
+
+from norainbow import Hypergraph, SearchStats, det_nrc, parallel, rand_nrc
 from norainbow.parallel import search_ranges
 
 
@@ -18,6 +20,16 @@ def test_first_certificate_stops_running_chunks():
     certificate = search_ranges(Hypergraph(3, 3), slow_first_chunk, 2, 2, SearchStats())
     assert certificate == [1, 2, 3]
     assert time.perf_counter() - t0 < 10
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_solvers_refuse_fewer_than_one_worker(workers):
+    # the edgeless root certifies and n < r answers at once, so neither
+    # input reaches search_ranges: the solver's own check must refuse it
+    for solver in (det_nrc, rand_nrc):
+        for hg in (Hypergraph(5, 3), Hypergraph(2, 3)):
+            with pytest.raises(ValueError, match=rf"^workers must be >= 1, got {workers}$"):
+                solver(hg, workers=workers)
 
 
 def certify_if_read_only(hg, lo, hi, stats):

@@ -1,5 +1,6 @@
-"""The package's sources parse under the oldest Python that pyproject.toml
-allows. This checks syntax only; it does not run the package on that Python."""
+"""The package's sources and the scripts parse under the oldest Python that
+pyproject.toml allows. This checks syntax only; it does not run the package
+on that Python."""
 import ast
 import re
 from pathlib import Path
@@ -14,7 +15,10 @@ def _python_floor() -> tuple[int, int]:
     return int(match[1]), int(match[2])
 
 
-@pytest.mark.parametrize("path", sorted((ROOT / "src" / "norainbow").glob("*.py")), ids=lambda p: p.name)
+SOURCES = sorted((ROOT / "src" / "norainbow").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_sources_parse_at_the_python_floor(path):
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=_python_floor())
 

@@ -1,6 +1,7 @@
 """Smoke tests: each experiment script under scripts/ runs to completion on a
 tiny input, so a renamed or removed package function breaks the suite."""
 import csv
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -52,3 +53,25 @@ def test_success_rate_reports_us_per_walk_evaluation(tmp_path):
     assert header.split()[-1] == "us/eval"
     assert len(rows) == 2
     assert all(float(row.split()[-1]) > 0 for row in rows)
+
+
+def test_src_reach_lists_unreached_package_lines(tmp_path):
+    tests = Path(__file__).resolve().parent
+    args = [tests / "test_python_floor.py", f"{tests / 'test_parallel.py'}::test_solvers_refuse_fewer_than_one_worker"]
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "src_reach.py"), "-q", "-p", "no:cacheprovider", *map(str, args)],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert re.fullmatch(r"src/norainbow: \d+ lines", lines[-1])
+    source = (SCRIPTS.parent / "src" / "norainbow" / "det_solver.py").read_text(encoding="utf-8").splitlines()
+
+    def det_line(text):
+        return f"src/norainbow/det_solver.py:{1 + next(i for i, line in enumerate(source) if text in line)}"
+
+    # det_nrc's worker check runs; its search does not
+    assert det_line("workers must be >= 1") not in lines
+    assert det_line("radius = search_radius(hg.n, hg.r)") in lines
