@@ -7,7 +7,8 @@ when it fits the budget), and reports mean search-tree size against the
 worst-case bound sum_i (r-1)^i with g = floor((r-1)n/r). Emits one CSV row
 per instance, with the time per search node (us_per_node) beside the node
 counts and the starts searched beside det's start set, C(n-1, r-1) * r
-(start_bound), which an uncolorable instance searches in full.
+(start_bound), which an uncolorable instance searches in full but for the
+starts det skips, those with more forced nodes than its radius.
 
 Example:
     python scripts/scaling_bench.py --r 3 --n-min 6 --n-max 14 --per-n 10 -o scaling.csv

@@ -6,17 +6,27 @@ unfrozen node of a nearly-frozen rainbow edge per level, freezing it, until
 it either proves the start hopeless or can exhibit a certificate. Each
 start's tree is at most (r-1)-ary, and a node at depth radius is a leaf.
 
+The subset s_1 < ... < s_r is read as the class minima of the witness the
+start looks for, color k's least node being s_k. So a node v outside the
+subset can only take a color k whose s_k lies below v: its cap is the
+number of subset nodes below it, and it branches on the colors 1..cap other
+than b. The s_b - b + 1 nodes below s_b outside the subset have caps below
+b, so each must leave b; the search counts those still colored b and
+prunes a node when they outnumber the levels left.
+
 Recolored nodes never return to b, so the colors alone say which nodes are
 frozen. One search per start closes over the start's state and changes it
 in place: the colors and per-color edge bit sets, O(r) bit set operations
-per node whatever n; only the shared-color edges and the depth are passed.
+per node whatever n; only the shared-color edges, the depth and the count
+of forced nodes are passed.
 
 det_nrc searches only the starts det_starts yields (see there why they
-suffice). It tests each one's root alone, then searches them all at the full
-radius if none certifies.
+suffice). It tests each one's root alone, then searches them all if none
+certifies, to the radius less the r - 1 recolorings the root already holds.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -65,22 +75,29 @@ def local_search(
     nodes frozen on the colors 1..r in ascending node order, every other
     node unfrozen on the background color b.
 
+    The subset is read as the class minima of the coloring sought: a node
+    v outside it may take only the colors 1..cap(v), cap(v) being the
+    number of subset nodes below v, and the nodes below the subset's node
+    w colored b, whose caps are below b, must all leave b.
+
     Case order per node: no rainbow edge -> certify the current coloring;
-    depth radius reached, or a fully frozen rainbow edge -> fail; otherwise
-    recolor the unfrozen node of the lowest-index rainbow edge to each of
-    the other r-1 colors, freeze it, and go one level deeper.
+    depth radius reached, a fully frozen rainbow edge, or more nodes below w
+    still on b than the radius has levels left -> fail; otherwise recolor
+    the unfrozen node v of the lowest-index rainbow edge to each color in
+    1..cap(v) other than b, freeze it, and go one level deeper.
 
     Recolored nodes are frozen at once, so every unfrozen node keeps b and
-    the subset's node w is the only frozen node colored b: a node is frozen
-    exactly when its color is not b or it is w. The search carries touched,
-    per color c != b the edges its nodes meet, and dup, the edges two nodes
-    of one such color share. An edge has r nodes, so it is rainbow when it
-    is in every touched set but not in dup, and a fully frozen rainbow edge
-    when it is in every touched set and holds w. Once no rainbow edge is
-    fully frozen, each has exactly one unfrozen node, its node colored b,
-    and the tree is (r-1)-ary. trace, when given, is called as
-    trace(depth, coloring) at every node with the live list of colors,
-    which the search goes on to mutate.
+    w is the only frozen node colored b: a node is frozen exactly when its
+    color is not b or it is w. The search carries touched, per color c != b
+    the edges its nodes meet, and dup, the edges two nodes of one such
+    color share. An edge has r nodes, so it is rainbow when it is in every
+    touched set but not in dup, and a fully frozen rainbow edge when it is
+    in every touched set and holds w. Once no rainbow edge is fully frozen,
+    each has exactly one unfrozen node, its node colored b, and the tree is
+    at most (r-1)-ary. The radius is searched as given, where det_nrc
+    lowers it. trace, when given, is called as trace(depth, coloring) at
+    every node with the live list of colors, which the search goes on to
+    mutate.
     Raises ValueError unless radius >= 0, the subset is r distinct nodes
     of 0..n-1 and b is in 1..r.
     """
@@ -101,17 +118,20 @@ def _start_search(
 ) -> Optional[list[int]]:
     """local_search's certificate from the start (nodes, b), nodes ascending,
     unchecked for det_nrc to check once; adds the start and its tree to stats.
-    search(dup, depth) recolors coloring and touched in place and restores
-    them before it returns None."""
+    search(dup, depth, forced) recolors coloring and touched in place and
+    restores them before it returns None; forced counts the nodes below w
+    still colored b."""
     coloring = [b] * hg.n
     for color, v in enumerate(nodes, 1):
         coloring[v] = color
     # touched[c - 1] per color c; b's entry is -1, all ones, so their AND skips it
     touched = [-1 if c == b else hg.incidence[v] for c, v in enumerate(nodes, 1)]
-    w_edges = hg.incidence[nodes[b - 1]]
+    w = nodes[b - 1]
+    w_edges = hg.incidence[w]
+    # a node with cap k branches on children[: k - (k >= b)], the colors 1..k but b
     children = [c for c in range(1, hg.r + 1) if c != b]
 
-    def search(dup: int, depth: int) -> Optional[list[int]]:
+    def search(dup: int, depth: int, forced: int) -> Optional[list[int]]:
         stats.recursion_nodes += 1
         if trace is not None:
             trace(depth, coloring)
@@ -119,16 +139,18 @@ def _start_search(
         rainbow = covered & ~dup
         if not rainbow:
             return coloring[:]
-        if depth == radius or covered & w_edges:
+        if depth == radius or covered & w_edges or forced > radius - depth:
             return None
         edge = hg.edges[(rainbow & -rainbow).bit_length() - 1]
         v = next(u for u in edge if coloring[u] == b)
         inc = hg.incidence[v]
-        for color in children:
+        cap = bisect.bisect(nodes, v)
+        left = forced - (v < w)
+        for color in children[: cap - (cap >= b)]:
             coloring[v] = color
             before = touched[color - 1]
             touched[color - 1] = before | inc
-            found = search(dup | (before & inc), depth + 1)
+            found = search(dup | (before & inc), depth + 1, left)
             touched[color - 1] = before
             if found is not None:
                 return found
@@ -138,7 +160,7 @@ def _start_search(
     if sys.getrecursionlimit() < radius + 1000:  # search recurses once per level
         sys.setrecursionlimit(radius + 1000)
     nodes_before = stats.recursion_nodes
-    certificate = search(0, 0)
+    certificate = search(0, 0, w - b + 1)  # the nodes below w less the b - 1 subset nodes there
     del search  # it refers to itself; freed now, not by the cycle collector
     stats.trials += 1
     stats.max_start_nodes = max(stats.max_start_nodes, stats.recursion_nodes - nodes_before)
@@ -149,8 +171,15 @@ def det_nrc(hg: Hypergraph, workers: int = 1) -> SearchOutcome:
     """Decide no-rainbow r-colorability in two passes over det_starts,
     stopping at the first certified success: each start's root alone
     (in-process, counted as one node and one trial if it certifies), then
-    each start at the full search radius. As det_starts says, either pass
-    stops where a pass over every (subset, b) would.
+    each start searched to search_radius(n, r) - (r - 1). A witness whose
+    class minima and largest class are the start's lies within
+    search_radius(n, r) of all-b, and the root already holds r - 1 of its
+    recolorings. A start whose s_b - b + 1 forced nodes exceed that radius
+    is skipped unbuilt and uncounted: the first pass found a rainbow edge at
+    its root, where its search would end. det_starts are the head of the
+    paper's order over every (subset, b), and as det_starts says one of
+    them certifies any colorable input, so either pass stops where the same
+    pass over every start would.
 
     n < r admits no surjective coloring, so the answer is immediate. With
     workers > 1 the second pass runs in parallel chunks; the decision is
@@ -180,8 +209,10 @@ def _root_certificate(hg: Hypergraph, stats: SearchStats) -> Optional[list[int]]
 
 
 def _det_range(hg: Hypergraph, lo: int, hi: int, stats: SearchStats) -> Optional[list[int]]:
-    radius = search_radius(hg.n, hg.r)
+    radius = search_radius(hg.n, hg.r) - (hg.r - 1)
     for subset, b in itertools.islice(det_starts(hg.n, hg.r), lo, hi):
+        if subset[b - 1] - b + 1 > radius:  # its root is pruned, and has a rainbow edge
+            continue
         certificate = _start_search(hg, subset, b, radius, stats)
         if certificate is not None:
             return certificate

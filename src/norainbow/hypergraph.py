@@ -74,7 +74,14 @@ class Hypergraph:
             keys = rows[:, 0]
             for j in range(1, r):
                 keys = keys * n + rows[:, j]
-            rows = rows[np.unique(keys, return_index=True)[1]]
+            keys = np.sort(keys)  # the rows' lexicographic order
+            keep = np.ones(len(keys), dtype=bool)
+            keep[1:] = keys[1:] != keys[:-1]
+            keys, columns = keys[keep], []
+            for _ in range(r - 1):  # decode the last column first
+                keys, column = np.divmod(keys, n)
+                columns.append(column)
+            rows = np.column_stack([keys, *columns[::-1]])
         else:
             rows = np.unique(rows, axis=0)
         rows.flags.writeable = False
@@ -114,10 +121,11 @@ class Hypergraph:
 class SearchStats:
     """Work counters for one solver run; the caller times the run.
 
-    trials counts the starts searched: det's full-radius starts, from
-    det_starts, or the one root of its sweep that certifies; for rand, all
-    C(n, r) subsets of every round up to the first with a hit (its walks
-    and the subsets that are edges). recursion_nodes counts det's
+    trials counts the starts searched: det's second-pass starts, from
+    det_starts, less those it skips unbuilt because their forced nodes
+    exceed the radius, or the one root of its sweep that certifies; for
+    rand, all C(n, r) subsets of every round up to the first with a hit
+    (its walks and the subsets that are edges). recursion_nodes counts det's
     search-tree nodes (1 for that root) and the state evaluations of every
     rand walk of those rounds, max_start_nodes the most of any one start.
     fallback_nodes stays 0 (det takes no fallback branch, rand counts its

@@ -1,5 +1,6 @@
 """Reproducible instance families: uniform random, planted-satisfiable,
-and complete (never colorable) hypergraphs."""
+complete (never colorable), and the (r-1)-shadow families shadow (planted)
+and free-shadow (unplanted), where no start's root certifies."""
 from __future__ import annotations
 
 import itertools
@@ -11,7 +12,13 @@ from typing import Optional
 from .hypergraph import Hypergraph, format_certificate, parse_certificate
 
 # the spec keys each family reads besides n and r; generate refuses a nonzero other one
-FAMILIES = {"random": ("m", "seed"), "planted": ("m", "seed"), "complete": ()}
+FAMILIES = {
+    "random": ("m", "seed"),
+    "planted": ("m", "seed"),
+    "complete": (),
+    "shadow": ("seed",),
+    "free-shadow": ("seed",),
+}
 # below this many r-subsets, sample by enumeration; above it, by rejection
 _ENUMERATE_LIMIT = 200_000
 
@@ -38,7 +45,9 @@ class InstanceSpec:
             return gen_random(self.n, self.m, self.r, self.seed), None
         if self.family == "planted":
             return gen_planted(self.n, self.m, self.r, self.seed)
-        return gen_complete(self.n, self.r), None
+        if self.family == "complete":
+            return gen_complete(self.n, self.r), None
+        return gen_shadow(self.n, self.r, self.seed, planted=self.family == "shadow")
 
     def instance_id(self) -> str:
         keys = "".join(f",{key}={getattr(self, key)}" for key in FAMILIES[self.family])
@@ -110,10 +119,7 @@ def gen_planted(n: int, m: int, r: int, seed: int) -> tuple[Hypergraph, list[int
     if m > math.comb(n, r):
         raise ValueError(f"m={m} exceeds the {math.comb(n, r)} distinct r-subsets")
     rng = random.Random(seed)
-    while True:
-        witness = [rng.randint(1, r) for _ in range(n)]
-        if set(witness) == set(range(1, r + 1)):
-            break
+    witness = _surjective_coloring(n, r, rng)
     chosen: set[tuple[int, ...]] = set()
     rejections = 0
     while len(chosen) < m:
@@ -128,6 +134,39 @@ def gen_planted(n: int, m: int, r: int, seed: int) -> tuple[Hypergraph, list[int
             continue
         chosen.add(edge)
     return Hypergraph(n, r, chosen), witness
+
+
+def _surjective_coloring(n: int, r: int, rng: random.Random) -> list[int]:
+    """A uniform surjective coloring of n >= r nodes, drawn by rejection."""
+    while True:
+        witness = [rng.randint(1, r) for _ in range(n)]
+        if set(witness) == set(range(1, r + 1)):
+            return witness
+
+
+def gen_shadow(n: int, r: int, seed: int, planted: bool = True) -> tuple[Hypergraph, Optional[list[int]]]:
+    """One edge T + {w} per (r-1)-set T of the nodes, in itertools.combinations
+    order, w drawn by rng.choice among the nodes outside T; duplicates merge.
+    Every (r-1)-set lies in an edge, so no det root certifies, and m comes
+    out near C(n, r-1). planted first draws a surjective coloring as
+    gen_planted does and allows only the w that keep the edge non-rainbow
+    under it, skipping a T with none (only at tiny n): the coloring is then
+    a witness, returned with the graph. Unplanted, the answer is left to
+    chance, and the witness is None."""
+    if n < r:
+        raise ValueError(f"need n >= r, got n={n}, r={r}")
+    rng = random.Random(seed)
+    witness = _surjective_coloring(n, r, rng) if planted else None
+    edges = []
+    for t in itertools.combinations(range(n), r - 1):
+        outside = [w for w in range(n) if w not in t]
+        if witness is not None:
+            colors = {witness[v] for v in t}
+            if len(colors) == r - 1:  # T's colors are distinct: w must repeat one
+                outside = [w for w in outside if witness[w] in colors]
+        if outside:
+            edges.append((*t, rng.choice(outside)))
+    return Hypergraph(n, r, edges), witness
 
 
 def gen_complete(n: int, r: int) -> Hypergraph:

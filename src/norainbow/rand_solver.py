@@ -46,6 +46,15 @@ def trial_count(n: int, r: int, alpha: float, cap: int = DEFAULT_TRIAL_CAP) -> i
     return count
 
 
+def check_options(alpha: float, master_seed: int, cap: int) -> None:
+    """rand_nrc's refusals that read no instance; nrc bench makes them before any run."""
+    if master_seed < 0:
+        raise ValueError(f"master_seed must be >= 0, got {master_seed}")
+    check_alpha(alpha)
+    if cap < 0:
+        raise ValueError(f"trial cap must be >= 0, got {cap}")
+
+
 def check_alpha(alpha: float) -> None:
     if not alpha > 1:
         raise ValueError(f"alpha must be > 1, got {alpha}")
@@ -154,9 +163,7 @@ def rand_nrc(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if master_seed < 0:
-        raise ValueError(f"master_seed must be >= 0, got {master_seed}")
-    check_alpha(alpha)
+    check_options(alpha, master_seed, cap)
     stats = SearchStats()
     if hg.n < hg.r:
         certificate = None

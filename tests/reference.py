@@ -190,23 +190,28 @@ def reference_det_search(
     hg: Hypergraph, subset: tuple[int, ...], b: int, radius: int
 ) -> tuple[Optional[list[int]], list[tuple[int, list[int], list[bool]]]]:
     """det's search from the start (subset, b) on the plain predicates
-    above, every node evaluated afresh. Returns (certificate or None, trace),
-    the trace holding a (depth, coloring, frozen flags) snapshot per node in
-    preorder."""
+    above, every node evaluated afresh, the subset read as class minima: a
+    node v outside it may take only the colors up to the number of subset
+    nodes below v, so every node below the subset's b node w must be
+    recolored, and a node fails when more of those are unfrozen than its
+    budget allows. Returns (certificate or None, trace), the trace holding
+    a (depth, coloring, frozen flags) snapshot per node in preorder."""
+    nodes = sorted(subset)
     coloring, frozen, trace = [b] * hg.n, set(subset), []
-    for color, v in enumerate(sorted(subset), start=1):
+    for color, v in enumerate(nodes, start=1):
         coloring[v] = color
 
     def search(budget: int, depth: int) -> Optional[list[int]]:
         trace.append((depth, list(coloring), [v in frozen for v in range(hg.n)]))
         if first_rainbow_edge(hg, coloring) is None:
             return list(coloring)
-        if budget == 0 or has_fully_frozen_rainbow(hg, coloring, frozen):
+        forced = sum(v not in frozen for v in range(nodes[b - 1]))
+        if budget == 0 or has_fully_frozen_rainbow(hg, coloring, frozen) or forced > budget:
             return None
         _, v = select_branch_edge(hg, coloring, frozen)
         old = coloring[v]
         frozen.add(v)
-        for color in range(1, hg.r + 1):
+        for color in range(1, sum(u < v for u in nodes) + 1):
             if color != old:
                 coloring[v] = color
                 found = search(budget - 1, depth + 1)

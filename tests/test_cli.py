@@ -21,7 +21,7 @@ from norainbow import (
     write_instance,
 )
 from norainbow.cli import CSV_HEADER, build_parser, expand_corpus_token, main
-from norainbow.instances import gen_complete, gen_planted, read_planted_witness
+from norainbow.instances import gen_complete, gen_planted, gen_shadow, read_planted_witness
 from norainbow.oracle import oracle_verify_certificate
 
 
@@ -177,6 +177,19 @@ def test_gen_roundtrip(capsys, tmp_path):
     assert code == 0
     hg = parse_instance(out_path.read_text())
     assert (hg.n, hg.r, hg.m) == (8, 3, 9)
+
+
+@pytest.mark.parametrize("family, planted", [("shadow", True), ("free-shadow", False)])
+def test_gen_shadow_families(capsys, tmp_path, family, planted):
+    # gen_shadow's graph, with its witness as a planted comment when it has one
+    out_path = tmp_path / "s.nrc"
+    assert run_cli(capsys, "gen", family, "--n", "9", "--r", "3", "--seed", "2", "-o", str(out_path))[0] == 0
+    text = out_path.read_text()
+    hg, witness = gen_shadow(9, 3, 2, planted)
+    assert parse_instance(text) == hg
+    assert read_planted_witness(text) == witness and (witness is not None) == planted
+    code, out, _ = run_cli(capsys, "bench", f"{family}:r=3,n=9,seed=2")
+    assert code == 0 and list(csv.reader(io.StringIO(out)))[1][:4] == [f"{family}:r=3,n=9,seed=2", "9", str(hg.m), "3"]
 
 
 def test_gen_planted_embeds_witness(capsys, tmp_path):
@@ -359,6 +372,22 @@ def test_solve_rand_refuses_a_negative_seed(capsys, tmp_path, planted, zero_edge
         assert (code, out, err) == (1, "", "error: master_seed must be >= 0, got -1\n")
 
 
+def test_negative_cap_and_budget_are_refused_on_any_input(capsys, tmp_path, planted, zero_edge):
+    # the edgeless input is answered without a round, and the oracle's
+    # refusal by size would name the instance; a negative value is refused alone
+    for path in (planted, zero_edge):
+        for argv, message in (
+            (["solve", path, "--algo", "rand", "--trial-cap", "-1"], "trial cap must be >= 0, got -1"),
+            (["solve", path, "--algo", "oracle", "--budget", "-1"], "budget must be >= 0, got -1"),
+            (["oracle", path, "--budget", "-1"], "budget must be >= 0, got -1"),
+        ):
+            assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+    # a solver that does not read the option ignores it, in bench too
+    assert run_cli(capsys, "solve", zero_edge, "--trial-cap", "-1", "--budget", "-1")[0] == 10
+    code, out, _ = run_cli(capsys, "bench", "complete:r=3,n=5", "--trial-cap", "-1", "--budget", "-1")
+    assert code == 0 and list(csv.reader(io.StringIO(out)))[1][CSV_HEADER.index("decision")] == "NOT_COLORABLE"
+
+
 def test_solve_rand_alpha_checked_on_degenerate_inputs(capsys, tmp_path):
     # n < r and m = 0 are answered without trials, but alpha is still checked
     for alpha, message in (("0.5", "alpha must be > 1, got 0.5"), ("inf", "alpha must be finite, got inf")):
@@ -415,6 +444,10 @@ def test_solve_searches_past_the_default_recursion_limit(capsys, tmp_path):
         (["random:n=8,r"], "bad corpus spec field 'r' in 'random:n=8,r'"),
         (["complete:r=3,n=6", "--algos", "rand", "--seed", "-1"], "master_seed must be >= 0, got -1"),
         (["complete:r=3,n=6", "--algos", "det,rand", "--reps", "3", "--seed", "-2"], "master_seed must be >= 0, got -2"),
+        (["complete:r=3,n=5..6", "--algos", "rand", "--trial-cap", "-1"], "trial cap must be >= 0, got -1"),
+        (["complete:r=3,n=6", "missing.nrc", "--algos", "det,rand", "--trial-cap", "-3"], "trial cap must be >= 0, got -3"),
+        (["complete:r=3,n=5..6", "--algos", "oracle", "--budget", "-1"], "budget must be >= 0, got -1"),
+        (["complete:r=3,n=6", "--algos", "rand,oracle", "--budget", "-2"], "budget must be >= 0, got -2"),
     ],
 )
 def test_bench_refuses_to_run_nothing(capsys, argv, message):

@@ -7,10 +7,13 @@ search without changing what it searches must leave all of them identical;
 seeded rand runs must also keep every random draw in the same order.
 
 det_nrc searches only the C(n-1, r-1) * r starts whose subset holds node
-0. It first sweeps their roots and only then searches them at the full
-radius, so a colorable instance with a root certificate pins that
-certificate with 1 node and 1 trial (planted, fallback), while an
-uncolorable one pins the full pass alone, over those starts.
+0. It first sweeps their roots and only then searches them, with the
+restricted-growth caps, to the radius less r - 1, so a colorable instance
+with a root certificate pins that certificate with 1 node and 1 trial
+(planted, fallback), while an uncolorable one pins the second pass alone,
+over those starts less the ones it skips (5 of branchy's 30 and 12 of
+complete73's 45). No root of shadow32 or free-shadow24 certifies; searched
+without caps, to the full radius, they count 50,854 and 139,899 nodes.
 
 rand_nrc runs every walk of a round to its exit and counts all C(n, r)
 subsets of each round it runs as trials, so its trials are a multiple of
@@ -23,7 +26,7 @@ import numpy as np
 
 from norainbow import COLORABLE, NOT_COLORABLE, det_nrc, rand_nrc
 from norainbow.rand_solver import lockstep_walks
-from norainbow.instances import gen_complete, gen_planted
+from norainbow.instances import gen_complete, gen_planted, gen_shadow
 
 from test_det_solver import BRANCHY_UNSAT, FALLBACK_COLORING, FALLBACK_FROZEN, FALLBACK_HG
 
@@ -34,14 +37,18 @@ INSTANCES = {
     "fallback": FALLBACK_HG,
     "planted75": gen_planted(7, 5, 3, 5)[0],
     "planted718": gen_planted(7, 18, 3, 17)[0],
+    "shadow32": gen_shadow(32, 3, 0)[0],
+    "free-shadow24": gen_shadow(24, 3, 0, planted=False)[0],
 }
 
 # instance -> (decision, certificate, recursion_nodes, trials)
 DET = {
-    "branchy": (NOT_COLORABLE, None, 68, 30),
+    "branchy": (NOT_COLORABLE, None, 33, 25),
     "planted": (COLORABLE, "12111131", 1, 1),
-    "complete73": (NOT_COLORABLE, None, 45, 45),
+    "complete73": (NOT_COLORABLE, None, 33, 33),
     "fallback": (COLORABLE, "123111", 1, 1),
+    "shadow32": (COLORABLE, "11213111113232122313332123231132", 12468, 84),
+    "free-shadow24": (NOT_COLORABLE, None, 11927, 598),
 }
 
 # (instance, master_seed) at alpha 1.5 -> as above; ("planted718", 0) wins

@@ -22,7 +22,7 @@ from norainbow import (
     search_radius,
 )
 from norainbow.det_solver import start_count
-from norainbow.instances import gen_complete, gen_planted, gen_random
+from norainbow.instances import gen_complete, gen_planted, gen_random, gen_shadow
 from norainbow.oracle import oracle_decide, oracle_verify_certificate
 
 from reference import (
@@ -149,23 +149,32 @@ def test_trace_invariants():
         assert seen[0] == 0
 
 
-def test_unsat_standard_nodes_have_r_minus_1_children():
-    # on a fully explored (unsatisfiable) search, every expanded node has
-    # exactly r-1 children in the preorder trace
+def test_unsat_nodes_have_one_child_per_allowed_color():
+    # on a fully explored (unsatisfiable) search, every node with children
+    # has one per color its branch node v may take, in order: the colors
+    # 1..cap other than b, cap being the number of subset nodes below v.
+    # So no node has more than r-1, and the caps cut some below that
     hg = BRANCHY_UNSAT
     g = search_radius(hg.n, hg.r)
-    for start in list(enumerate_initial_pairs(hg))[:8]:
+    widths = set()
+    for subset, b in enumerate_initial_pairs(hg):
         trace = []
-        local_search(hg, *start, g, trace=lambda d, c: trace.append(d))
-        children = [0] * len(trace)
+        local_search(hg, subset, b, g, trace=lambda d, c: trace.append((d, list(c))))
+        children = [[] for _ in trace]
         stack = []
-        for i, depth in enumerate(trace):
-            while stack and trace[stack[-1]] >= depth:
+        for i, (depth, _) in enumerate(trace):
+            while stack and trace[stack[-1]][0] >= depth:
                 stack.pop()
             if stack:
-                children[stack[-1]] += 1
+                children[stack[-1]].append(i)
             stack.append(i)
-        assert set(children) <= {0, hg.r - 1}
+        for (_, coloring), kids in zip(trace, children):
+            if kids:
+                (v,) = {u for k in kids for u in range(hg.n) if trace[k][1][u] != coloring[u]}
+                cap = sum(u < v for u in subset)
+                assert [trace[k][1][v] for k in kids] == [c for c in range(1, cap + 1) if c != b]
+            widths.add(len(kids))
+    assert widths == set(range(hg.r))
 
 
 @pytest.mark.parametrize(
@@ -178,8 +187,11 @@ def test_unsat_standard_nodes_have_r_minus_1_children():
         gen_random(8, 30, 5, 2),
         # 70 colors: wider than any int64 bit mask over the colors
         Hypergraph(71, 70, (tuple(range(70)), tuple(range(1, 71)))),
+        # no root certifies on these, so the caps and the forced count prune
+        gen_shadow(8, 3, 2)[0],
+        gen_shadow(7, 4, 2, planted=False)[0],
     ],
-    ids=["r2", "r3-branchy", "r3", "r4", "r5", "r70"],
+    ids=["r2", "r3-branchy", "r3", "r4", "r5", "r70", "shadow", "free-shadow"],
 )
 def test_local_search_matches_reference_search(hg):
     # the carried per-color edge sets pick the same node, branch and exit at
@@ -266,9 +278,16 @@ def test_deep_searches_raise_the_recursion_limit():
     out = det_nrc(star_and_path)
     assert (out.decision, out.certificate) == (COLORABLE, [1] * 1100 + [2] * 1100)
     assert out.stats == SearchStats(recursion_nodes=3298, trials=2199, max_start_nodes=1100)
+    # from (0, 1050) on background 2 the caps leave every node one color, 1:
+    # the search recolors 1..1049 in turn and fails at depth 1,049 on the
+    # frozen edge (1049, 1050)
     path = Hypergraph(2100, 2, [(v, v + 1) for v in range(2099)])
+    out = local_search(path, (0, 1050), 2, 1050)
+    assert (out.decision, out.stats.recursion_nodes) == (NOT_COLORABLE, 1050)
+    # from (0, 2099) on background 1 every node between has cap 1 = b, so no
+    # color: the root branches on none
     out = local_search(path, (0, 2099), 1, 1050)
-    assert (out.decision, out.stats.recursion_nodes) == (NOT_COLORABLE, 1051)
+    assert (out.decision, out.stats.recursion_nodes) == (NOT_COLORABLE, 1)
 
 
 def test_det_nrc_deterministic():
@@ -358,7 +377,9 @@ def test_det_returns_the_first_root_certificate():
 def _plain_det(hg, starts):
     """det's two passes on a plain loop over starts: the first root with no
     rainbow edge as 1 node and 1 trial, else local_search from each start
-    at the full radius up to the first certificate."""
+    to the radius less r - 1, up to the first certificate, skipping (and not
+    counting) each start with more than that radius of forced nodes, the
+    s_b - b + 1 nodes below its b node outside its subset."""
     for subset, b in starts:
         coloring = [b] * hg.n
         for color, v in enumerate(subset, start=1):
@@ -366,8 +387,12 @@ def _plain_det(hg, starts):
         if is_no_rainbow_coloring(hg, coloring):
             return COLORABLE, coloring, 1, 1, 1
     stats = SearchStats()
+    radius = search_radius(hg.n, hg.r) - (hg.r - 1)
     for start in starts:
-        outcome = local_search(hg, *start, search_radius(hg.n, hg.r))
+        subset, b = start
+        if sum(v not in subset for v in range(subset[b - 1])) > radius:
+            continue
+        outcome = local_search(hg, *start, radius)
         stats.absorb(outcome.stats)
         if outcome.colorable:
             return COLORABLE, outcome.certificate, stats.recursion_nodes, stats.trials, stats.max_start_nodes
@@ -427,6 +452,40 @@ def test_det_colorable_full_pass_stops_inside_class_minimum_starts():
     assert full_pass >= 40
 
 
+# (planted, r, largest n) of shadow and free-shadow instances the oracle decides fast
+SHADOW_SIZES = ((True, 3, 12), (True, 4, 10), (False, 3, 14), (False, 4, 11))
+
+
+def _shadow_corpus(sizes=SHADOW_SIZES, seeds=range(3)):
+    """(graph, witness) of gen_shadow for each (planted, r, n_max) of sizes,
+    each n from r to n_max and each seed: the planted witness for shadow,
+    None for free shadow. Every (r-1)-set of nodes lies in an edge, so no
+    root certifies unless the planted generator skipped a set (tiny n)."""
+    for planted, r, n_max in sizes:
+        for n in range(r, n_max + 1):
+            for seed in seeds:
+                yield gen_shadow(n, r, seed, planted)
+
+
+def test_det_agrees_with_oracle_on_shadow_instances():
+    # the shadow families make det search past its roots, where the caps and
+    # the forced count prune: det's decision is the oracle's, its counters
+    # the plain loop's, and it stops inside the class-minimum starts
+    searched = refuted = 0
+    for hg, witness in _shadow_corpus():
+        out = det_nrc(hg)
+        assert out.decision == oracle_decide(hg).decision
+        assert _counts(out) == _plain_det(hg, class_minimum_starts(hg))
+        if witness is not None:
+            assert oracle_verify_certificate(hg, witness) and out.colorable
+        if out.colorable:
+            assert oracle_verify_certificate(hg, out.certificate)
+            assert _counts(out) == _plain_det(hg, list(enumerate_initial_pairs(hg)))
+        searched += out.colorable and out.stats.recursion_nodes > 1
+        refuted += not out.colorable
+    assert searched >= 30 and refuted >= 50
+
+
 def _refute_corpus():
     """60 seeded random instances, r 2-4 and n <= 10, about 40% uncolorable."""
     rng = random.Random(7)
@@ -453,7 +512,8 @@ def test_det_decisions_survive_node_relabelling():
     # witness count where they were
     rng = random.Random(5)
     past_root = refuted = 0
-    for hg in itertools.chain(_dense_colorable_corpus(), _refute_corpus()):
+    shadows = (hg for hg, _ in _shadow_corpus(((True, 3, 11), (True, 4, 9), (False, 3, 12), (False, 4, 9)), range(2)))
+    for hg in itertools.chain(_dense_colorable_corpus(), _refute_corpus(), shadows):
         base, report = det_nrc(hg), oracle_decide(hg)
         assert base.decision == report.decision
         for perm, moved in _relabellings(hg, rng):
@@ -468,18 +528,19 @@ def test_det_decisions_survive_node_relabelling():
                     certificate[perm[v]] = color
                 assert is_no_rainbow_coloring(moved, certificate)
                 assert oracle_verify_certificate(moved, certificate)
-    assert past_root >= 120 and refuted >= 40
+    assert past_root >= 220 and refuted >= 100
 
 
 def test_rand_stays_one_sided_under_node_relabelling():
     rng = random.Random(5)
     refuted = 0
-    for seed, hg in enumerate(_refute_corpus()):
+    shadows = (hg for hg, _ in _shadow_corpus(((True, 3, 10), (False, 3, 10), (False, 4, 8)), range(2)))
+    for seed, hg in enumerate(itertools.chain(_refute_corpus(), shadows)):
         colorable = oracle_decide(hg).witness_count > 0
         refuted += not colorable
         for _, moved in _relabellings(hg, rng):
             assert colorable or not rand_nrc(moved, master_seed=seed).colorable
-    assert refuted >= 20
+    assert refuted >= 45
 
 
 def test_det_former_n200_hang_certifies_at_a_root():

@@ -361,6 +361,23 @@ def test_parse_dedups_without_packed_keys():
     assert parsed.incidence == _shift_incidence(hg)
 
 
+@pytest.mark.parametrize("n, r", [(2, 2), (9, 3), (200, 3), (40, 5), (2**21 - 1, 3)])
+def test_key_dedup_matches_unique_rows(n, r):
+    # below n**r = 2**63 each row is one int64 key; the sorted, deduplicated
+    # keys decode to the rows np.unique(axis=0) keeps, in the same order
+    assert r * n.bit_length() <= 63
+    rng = random.Random(n)
+    for m in (0, 1, 7, 3000):
+        edges = [rng.sample(range(n), r) for _ in range(m)]
+        edges += [rng.sample(e, r) for e in rng.choices(edges, k=m // 2)]  # repeats, reordered
+        rows = np.sort(np.array(edges, dtype=np.int64).reshape(len(edges), r), axis=1)
+        expected = np.unique(rows, axis=0)
+        for given in (edges, rows[::-1]):
+            hg = Hypergraph(n, r, given)
+            assert hg.rows.dtype == np.int64 and hg.rows.shape == expected.shape
+            assert np.array_equal(hg.rows, expected)
+
+
 # --- predicates -------------------------------------------------------------
 
 

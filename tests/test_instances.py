@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import pytest
 
 from norainbow import write_instance
@@ -8,6 +11,7 @@ from norainbow.instances import (
     gen_complete,
     gen_planted,
     gen_random,
+    gen_shadow,
     planted_comment,
     read_planted_witness,
 )
@@ -136,3 +140,37 @@ def test_planted_comment_roundtrip():
     text = planted_comment(witness) + "\n" + write_instance(hg)
     assert read_planted_witness(text) == witness
     assert read_planted_witness(write_instance(hg)) is None
+
+
+@pytest.mark.parametrize("n, r, seed", [(9, 3, 0), (12, 3, 1), (8, 4, 2), (32, 3, 0)])
+def test_shadow_covers_every_r_minus_1_set(n, r, seed):
+    # one edge per (r-1)-set T, T and a node outside it, so no det root
+    # certifies; the planted witness is gen_planted's draw and stays one. It
+    # skips only a T of r-1 colors that no other node repeats (9, 3, 0 has one)
+    for planted in (True, False):
+        hg, witness = gen_shadow(n, r, seed, planted)
+        covered = {t for e in hg.edges for t in itertools.combinations(e, r - 1)}
+        for t in set(itertools.combinations(range(n), r - 1)) - covered:
+            colors = {witness[v] for v in t} if planted else set()
+            assert len(colors) == r - 1 and not any(witness[w] in colors for w in range(n) if w not in t)
+        assert hg.m <= math.comb(n, r - 1)
+        assert gen_shadow(n, r, seed, planted) == (hg, witness)
+        if planted:
+            assert witness == gen_planted(n, 0, r, seed)[1]
+            assert oracle_verify_certificate(hg, witness)
+        else:
+            assert witness is None
+
+
+def test_shadow_sizes_pinned():
+    # the m of item-sized instances: shadow 3, 32, 0 and free shadow 3, 24, 0
+    assert gen_shadow(32, 3, 0)[0].m == 477
+    assert gen_shadow(24, 3, 0, planted=False)[0].m == 262
+
+
+def test_shadow_skips_a_set_no_node_can_join():
+    # a 4-coloring of 4 nodes makes every 4-set rainbow: each 3-set is skipped
+    hg, witness = gen_shadow(4, 4, 0)
+    assert hg.m == 0 and sorted(witness) == [1, 2, 3, 4]
+    with pytest.raises(ValueError, match="need n >= r"):
+        gen_shadow(2, 3, 0, planted=False)

@@ -434,6 +434,17 @@ def test_rand_nrc_rejects_a_negative_seed():
             rand_nrc(hg, master_seed=-1)
 
 
+def test_rand_nrc_rejects_a_negative_trial_cap():
+    # whatever the instance, those answered without any round included; a cap
+    # of 0 still answers them, and refuses the others by their trial count
+    for hg in (gen_planted(8, 12, 3, 7)[0], Hypergraph(4, 3), gen_complete(3, 3)):
+        with pytest.raises(ValueError, match=r"^trial cap must be >= 0, got -1$"):
+            rand_nrc(hg, cap=-1)
+    assert rand_nrc(Hypergraph(4, 3), cap=0).colorable
+    with pytest.raises(ValueError, match=r"exceeds cap 0; raise the cap to proceed$"):
+        rand_nrc(gen_complete(3, 3), cap=0)
+
+
 @settings(max_examples=60)
 @given(walk_batches(), st.integers(1, 4), st.integers(0, 2**32 - 1))
 def test_each_block_walks_as_its_own_call(batch, blocks, seed):

@@ -37,10 +37,12 @@ def test_scaling_bench_reports_us_per_node(tmp_path):
     assert len(rows) == 2
     assert all(float(row["us_per_node"]) > 0 for row in rows)
     # m = 10 at n = 5 is the complete 3-graph: uncolorable, so det searches
-    # its whole start set
+    # its whole start set of 18 but the 4 starts it skips, those with more
+    # forced nodes than the radius 3 - 2 = 1: (0, 3, 4) on b = 2, and the
+    # three subsets with s_3 = 4 on b = 3
     assert "start_bound" in rows[0]
     assert all(row["decision"] == "NOT_COLORABLE" for row in rows)
-    assert all(row["starts"] == row["start_bound"] for row in rows)
+    assert all((row["starts"], row["start_bound"]) == ("14", "18") for row in rows)
 
 
 def test_success_rate_reports_us_per_walk_evaluation(tmp_path):
