@@ -21,6 +21,7 @@ from .instances import (
     gen_complete,
     gen_planted,
     gen_random,
+    gen_shadow,
     read_planted_witness,
 )
 from .oracle import OracleReport, oracle_decide, oracle_verify_certificate

@@ -27,8 +27,8 @@ from .hypergraph import (
     write_instance,
 )
 from .instances import FAMILIES, InstanceSpec, planted_comment
-from .oracle import DEFAULT_BUDGET, check_budget, oracle_decide, oracle_verify_certificate
-from .rand_solver import DEFAULT_TRIAL_CAP, check_options, rand_nrc
+from .oracle import DEFAULT_BUDGET, oracle_decide, oracle_verify_certificate
+from .rand_solver import DEFAULT_TRIAL_CAP, rand_nrc
 
 ALGOS = ("det", "rand", "oracle")
 EXIT_ERROR = 1
@@ -182,10 +182,9 @@ def cmd_bench(args) -> int:
             raise ValueError(f"unknown algo {algo!r}; choose from {', '.join(ALGOS)}")
     if args.reps < 1:
         raise ValueError(f"--reps must be >= 1, got {args.reps}")
-    if "rand" in algos:
-        check_options(args.alpha, args.seed, args.trial_cap)  # the first row's seed is the lowest
-    if "oracle" in algos:
-        check_budget(args.budget)
+    for algo in algos:
+        # every decider refuses a bad option on any input and answers n < r at once: any error is an option error
+        _solve_with(Hypergraph(0, 2), algo, args, args.seed)
     corpus: list[tuple[str, Hypergraph]] = []
     for token in args.corpus:
         corpus.extend(expand_corpus_token(token))

@@ -183,7 +183,8 @@ def det_nrc(hg: Hypergraph, workers: int = 1) -> SearchOutcome:
 
     n < r admits no surjective coloring, so the answer is immediate. With
     workers > 1 the second pass runs in parallel chunks; the decision is
-    unchanged but stats may differ from a sequential run.
+    unchanged but stats may differ from a sequential run. Those workers are
+    spawned, so a script calling this needs an `if __name__ == "__main__":` guard.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")

@@ -48,12 +48,6 @@ def _growth_prefixes(length: int, r: int):
             yield (*prefix, c), max(used, c + 1)
 
 
-def check_budget(budget: int) -> None:
-    """oracle_decide's refusal that reads no instance; nrc bench makes it before any run."""
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
-
-
 def oracle_decide(hg: Hypergraph, budget: int = DEFAULT_BUDGET) -> OracleReport:
     """Decide all r^n colorings in base-r counting order (node 0 most
     significant) and count the surjective ones inducing no rainbow edge.
@@ -72,7 +66,8 @@ def oracle_decide(hg: Hypergraph, budget: int = DEFAULT_BUDGET) -> OracleReport:
 
     Refuses instances needing more than the budget (default 10^8 colorings).
     """
-    check_budget(budget)
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     n, r, m = hg.n, hg.r, hg.m
     # r^n = 2^(n log2 r) alone above the budget is refused before the exact
     # power; the message spells the count out only when it fits in 64 bits

@@ -24,6 +24,9 @@ def search_ranges(
 
     With several workers the range is cut into at most 4 * workers chunks,
     run by a pool of at most as many processes as this process has CPUs.
+    The pool spawns them, and each re-imports the main module, so a script
+    that gets here needs an `if __name__ == "__main__":` guard, or every
+    worker reruns it.
     Leaving the pool at the first certificate terminates the chunks still
     running, so stats then count only the chunks that finished.
     """

@@ -46,15 +46,6 @@ def trial_count(n: int, r: int, alpha: float, cap: int = DEFAULT_TRIAL_CAP) -> i
     return count
 
 
-def check_options(alpha: float, master_seed: int, cap: int) -> None:
-    """rand_nrc's refusals that read no instance; nrc bench makes them before any run."""
-    if master_seed < 0:
-        raise ValueError(f"master_seed must be >= 0, got {master_seed}")
-    check_alpha(alpha)
-    if cap < 0:
-        raise ValueError(f"trial cap must be >= 0, got {cap}")
-
-
 def check_alpha(alpha: float) -> None:
     if not alpha > 1:
         raise ValueError(f"alpha must be > 1, got {alpha}")
@@ -160,10 +151,16 @@ def rand_nrc(
     edgeless instance is colorable by any surjective coloring. Starts whose
     frozen subset is itself an edge are skipped without drawing: that edge
     is rainbow and fully frozen, so the walk would fail on its first check.
+    With workers > 1 the rounds run in spawned workers (search_ranges), so a
+    script calling this needs an `if __name__ == "__main__":` guard.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    check_options(alpha, master_seed, cap)
+    if master_seed < 0:
+        raise ValueError(f"master_seed must be >= 0, got {master_seed}")
+    check_alpha(alpha)
+    if cap < 0:
+        raise ValueError(f"trial cap must be >= 0, got {cap}")
     stats = SearchStats()
     if hg.n < hg.r:
         certificate = None

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import io
+import multiprocessing
 import os
 import re
 import subprocess
@@ -12,12 +13,17 @@ import pytest
 import norainbow
 from norainbow import (
     COLORABLE,
+    NOT_COLORABLE,
+    Hypergraph,
     OracleReport,
     ParseError,
     SearchOutcome,
     cli,
+    det_nrc,
+    oracle_decide,
     parse_certificate,
     parse_instance,
+    rand_nrc,
     write_instance,
 )
 from norainbow.cli import CSV_HEADER, build_parser, expand_corpus_token, main
@@ -386,6 +392,11 @@ def test_negative_cap_and_budget_are_refused_on_any_input(capsys, tmp_path, plan
     assert run_cli(capsys, "solve", zero_edge, "--trial-cap", "-1", "--budget", "-1")[0] == 10
     code, out, _ = run_cli(capsys, "bench", "complete:r=3,n=5", "--trial-cap", "-1", "--budget", "-1")
     assert code == 0 and list(csv.reader(io.StringIO(out)))[1][CSV_HEADER.index("decision")] == "NOT_COLORABLE"
+    # a cap of 0 still answers edgeless inputs, so bench fails only the rows that need a round
+    code, out, _ = run_cli(capsys, "bench", zero_edge, "complete:r=3,n=3", "--algos", "rand", "--trial-cap", "0")
+    rows = [(row["decision"], row["error"]) for row in csv.DictReader(io.StringIO(out))]
+    refused = "trial count ceil(2.0 * (3/2)^3) exceeds cap 0; raise the cap to proceed"
+    assert (code, rows) == (0, [("COLORABLE", ""), ("", refused)])
 
 
 def test_solve_rand_alpha_checked_on_degenerate_inputs(capsys, tmp_path):
@@ -448,10 +459,36 @@ def test_solve_searches_past_the_default_recursion_limit(capsys, tmp_path):
         (["complete:r=3,n=6", "missing.nrc", "--algos", "det,rand", "--trial-cap", "-3"], "trial cap must be >= 0, got -3"),
         (["complete:r=3,n=5..6", "--algos", "oracle", "--budget", "-1"], "budget must be >= 0, got -1"),
         (["complete:r=3,n=6", "--algos", "rand,oracle", "--budget", "-2"], "budget must be >= 0, got -2"),
+        (
+            ["complete:r=3,n=5..6", "--algos", "oracle", "--budget", "0"],
+            "enumeration needs 2^0 = 1 colorings, over budget 0; raise the budget to force",
+        ),
     ],
 )
 def test_bench_refuses_to_run_nothing(capsys, argv, message):
     assert run_cli(capsys, "bench", *argv) == (1, "", f"error: {message}\n")
+
+
+def test_deciders_answer_the_bench_probe_at_once(monkeypatch):
+    # nrc bench runs each chosen decider on Hypergraph(0, 2) before any row:
+    # with good options each answers it, with any worker count and no pool
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    probe = Hypergraph(0, 2)
+    assert det_nrc(probe, workers=2).decision == NOT_COLORABLE
+    assert rand_nrc(probe, workers=2).decision == NOT_COLORABLE
+    assert oracle_decide(probe).decision == NOT_COLORABLE
+
+
+def test_bench_refuses_a_new_decider_option_without_a_copy(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise ValueError("made-up option must be sensible")
+
+    monkeypatch.setattr(cli, "rand_nrc", refuse)
+    code, out, err = run_cli(capsys, "bench", "complete:r=3,n=5", "--algos", "rand")
+    assert (code, out, err) == (1, "", "error: made-up option must be sensible\n")
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from norainbow import write_instance
+import norainbow
+from norainbow import instances, write_instance
 from norainbow.hypergraph import COLORABLE, NOT_COLORABLE
 from norainbow.instances import (
     FAMILIES,
@@ -16,6 +17,13 @@ from norainbow.instances import (
     read_planted_witness,
 )
 from norainbow.oracle import oracle_decide, oracle_verify_certificate
+
+
+def test_every_generator_is_exported():
+    names = [name for name in dir(instances) if name.startswith("gen_")]
+    assert "gen_shadow" in names
+    for name in names:
+        assert getattr(norainbow, name) is getattr(instances, name)
 
 
 def test_random_unique_triple():

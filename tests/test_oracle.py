@@ -73,7 +73,7 @@ def test_budget_refusal_computes_no_huge_power():
     with pytest.raises(ValueError, match=re.escape("needs 3^10000000 colorings, over budget 100000000; raise")):
         oracle_decide(hg)
     assert time.perf_counter() - t0 < 0.5
-    for hg, needs in ((Hypergraph(2, 3), "3^2 = 9"), (Hypergraph(0, 3), "3^0 = 1")):
+    for hg, needs in ((Hypergraph(2, 3), "3^2 = 9"), (Hypergraph(0, 3), "3^0 = 1"), (Hypergraph(0, 2), "2^0 = 1")):
         with pytest.raises(ValueError, match=re.escape(f"needs {needs} colorings, over budget 0;")):
             oracle_decide(hg, budget=0)
         # a negative budget is refused whatever the instance, as nrc bench refuses it before any run

@@ -24,10 +24,10 @@ def test_first_certificate_stops_running_chunks():
 
 @pytest.mark.parametrize("workers", [0, -1])
 def test_solvers_refuse_fewer_than_one_worker(workers):
-    # the edgeless root certifies and n < r answers at once, so neither
-    # input reaches search_ranges: the solver's own check must refuse it
+    # the edgeless root certifies and n < r answers at once, so no input
+    # reaches search_ranges: the solver's own check must refuse it
     for solver in (det_nrc, rand_nrc):
-        for hg in (Hypergraph(5, 3), Hypergraph(2, 3)):
+        for hg in (Hypergraph(5, 3), Hypergraph(2, 3), Hypergraph(0, 2)):
             with pytest.raises(ValueError, match=rf"^workers must be >= 1, got {workers}$"):
                 solver(hg, workers=workers)
 

@@ -302,7 +302,7 @@ def test_rand_nrc_zero_edges():
 
 def test_rand_nrc_rejects_alpha_at_most_one():
     # including the inputs answered without any trial
-    for hg in (Hypergraph(4, 3), Hypergraph(2, 3), gen_complete(4, 3)):
+    for hg in (Hypergraph(4, 3), Hypergraph(2, 3), Hypergraph(0, 2), gen_complete(4, 3)):
         for alpha in (0.5, 1.0):
             with pytest.raises(ValueError, match="alpha must be > 1"):
                 rand_nrc(hg, alpha=alpha)
@@ -429,7 +429,7 @@ def test_round_without_starts_draws_nothing(monkeypatch):
 
 def test_rand_nrc_rejects_a_negative_seed():
     # including the inputs answered without any Generator
-    for hg in (gen_planted(8, 12, 3, 7)[0], Hypergraph(4, 3), gen_complete(3, 3)):
+    for hg in (gen_planted(8, 12, 3, 7)[0], Hypergraph(4, 3), Hypergraph(0, 2), gen_complete(3, 3)):
         with pytest.raises(ValueError, match=r"^master_seed must be >= 0, got -1$"):
             rand_nrc(hg, master_seed=-1)
 
@@ -437,7 +437,7 @@ def test_rand_nrc_rejects_a_negative_seed():
 def test_rand_nrc_rejects_a_negative_trial_cap():
     # whatever the instance, those answered without any round included; a cap
     # of 0 still answers them, and refuses the others by their trial count
-    for hg in (gen_planted(8, 12, 3, 7)[0], Hypergraph(4, 3), gen_complete(3, 3)):
+    for hg in (gen_planted(8, 12, 3, 7)[0], Hypergraph(4, 3), Hypergraph(0, 2), gen_complete(3, 3)):
         with pytest.raises(ValueError, match=r"^trial cap must be >= 0, got -1$"):
             rand_nrc(hg, cap=-1)
     assert rand_nrc(Hypergraph(4, 3), cap=0).colorable

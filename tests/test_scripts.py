@@ -32,6 +32,9 @@ def test_scaling_bench_reports_us_per_node(tmp_path):
         [sys.executable, str(SCRIPTS / "scaling_bench.py"), *args], cwd=tmp_path, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
+    # the printed bound is the per-start tree bound, the CSV's per_start_bound
+    header = done.stdout.splitlines()[0].split()
+    assert header == ["n", "m", "mean", "nodes", "max", "start", "per-start", "bound", "mean", "ms"]
     with open(tmp_path / "scaling.csv", newline="") as f:
         rows = list(csv.DictReader(f))
     assert len(rows) == 2
@@ -43,6 +46,7 @@ def test_scaling_bench_reports_us_per_node(tmp_path):
     assert "start_bound" in rows[0]
     assert all(row["decision"] == "NOT_COLORABLE" for row in rows)
     assert all((row["starts"], row["start_bound"]) == ("14", "18") for row in rows)
+    assert all(row["oracle_agrees"] == "True" for row in rows)
 
 
 def test_success_rate_reports_us_per_walk_evaluation(tmp_path):
