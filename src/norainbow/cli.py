@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import sys
 import time
@@ -219,7 +220,10 @@ def _add_solver_options(p: argparse.ArgumentParser, flags: Iterable[str] = SOLVE
         p.add_argument(flag, **SOLVER_OPTIONS[flag])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The nrc parser, built once per process and shared by every main call;
+    the handlers and option defaults are bound at that first build."""
     parser = argparse.ArgumentParser(prog="nrc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -4,10 +4,10 @@ A solver hands over a range function (hg, lo, hi, stats) -> certificate or
 None that searches its starts lo..hi-1, adding its work to stats. The
 harness runs the whole range in-process for one worker, or splits it into
 chunks over a process pool and stops every worker at the first certificate.
+multiprocessing is imported only for workers > 1, so one worker never loads it.
 """
 from __future__ import annotations
 
-import multiprocessing
 import os
 from typing import Callable, Optional
 
@@ -32,6 +32,7 @@ def search_ranges(
     """
     if workers == 1:
         return range_fn(hg, 0, total, stats)
+    import multiprocessing
     step = -(-total // max(1, min(4 * workers, total)))
     tasks = [(range_fn, hg, lo, min(lo + step, total)) for lo in range(0, total, step)]
     certificate = None

@@ -20,6 +20,7 @@ from norainbow import (
     SearchOutcome,
     cli,
     det_nrc,
+    format_certificate,
     oracle_decide,
     parse_certificate,
     parse_instance,
@@ -528,6 +529,76 @@ def test_cli_byte_identical_across_processes(planted):
     b = subprocess.run(cmd, capture_output=True)
     assert a.returncode == b.returncode == 10
     assert a.stdout == b.stdout
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_one_main_call_leaks_nothing_into_the_next(capsys, planted):
+    code, out, _ = run_cli(capsys, "solve", "--stats", "--algo", "rand", "--seed", "3", planted)
+    assert code == 10 and out.startswith("c stats ")
+    certificate = det_nrc(parse_instance(Path(planted).read_text())).certificate
+    assert run_cli(capsys, "solve", planted) == (10, f"s COLORABLE\n{format_certificate(certificate)}\n", "")
+
+    assert run_cli(capsys, "bench", "complete:r=3,n=5", "complete:r=3,n=6")[0] == 0
+    code, out, _ = run_cli(capsys, "bench", "complete:r=4,n=5")
+    assert code == 0
+    assert [row[0] for row in csv.reader(io.StringIO(out))] == ["instance", "complete:r=4,n=5"]
+
+
+def test_argparse_error_leaves_the_parser_usable(capsys, planted):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: path" in capsys.readouterr().err
+    assert run_cli(capsys, "solve", planted)[0] == 10
+
+
+@pytest.fixture
+def command_files(tmp_path, planted, complete43):
+    cert = tmp_path / "cert.txt"
+    cert.write_text(format_certificate(det_nrc(parse_instance(Path(planted).read_text())).certificate) + "\n")
+    z54 = tmp_path / "z54.nrc"
+    z54.write_text("p nrc 5 0 4\n")
+    return {"P": planted, "C": complete43, "CERT": str(cert), "Z54": str(z54)}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "P"],
+        ["solve", "P", "--algo", "rand", "--seed", "3"],
+        ["solve", "C", "--algo", "oracle"],
+        ["oracle", "C"],
+        ["gen", "planted", "--n", "8", "--m", "12", "--r", "3", "--seed", "7"],
+        ["verify", "P", "CERT"],
+        ["decisive", "Z54"],
+        ["bench", "complete:r=3,n=5..6", "P", "--algos", "det,oracle"],
+        ["solve"],
+        ["solve", "--help"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_warm_process_matches_a_fresh_one(capsys, monkeypatch, command_files, argv):
+    # every call after the first reuses the cached parser; a fresh
+    # `python -m norainbow.cli` builds its own, and prints the same
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width
+    argv = [command_files.get(arg, arg) for arg in argv]
+    run_cli(capsys, "solve", command_files["C"], "--algo", "rand", "--stats")
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    warm = capsys.readouterr()
+    fresh = subprocess.run([sys.executable, "-m", "norainbow.cli", *argv], capture_output=True)
+    assert (code, warm.err.encode()) == (fresh.returncode, fresh.stderr)
+    if argv[0] == "bench":  # rows match but for the timing column
+        rows = [list(csv.reader(io.StringIO(out))) for out in (warm.out, fresh.stdout.decode())]
+        untimed = [[row[:10] + row[11:] for row in table] for table in rows]
+        assert untimed[0] == untimed[1] and len(rows[0]) == 7
+    else:
+        assert warm.out.encode() == fresh.stdout
 
 
 def test_readme_cli_synopsis_matches_parser():

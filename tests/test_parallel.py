@@ -1,4 +1,6 @@
 import multiprocessing
+import subprocess
+import sys
 import time
 
 import pytest
@@ -86,3 +88,9 @@ def test_pool_size_capped_at_usable_cpus(monkeypatch):
     search_ranges(Hypergraph(3, 3), _count_starts, 2, 100_000, SearchStats())
     assert _InProcessPool.sizes == [3, 2]
 
+
+def test_importing_the_package_loads_no_pool():
+    # multiprocessing is imported by search_ranges only when workers > 1
+    probe = "import sys, norainbow, norainbow.cli; print('multiprocessing' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
