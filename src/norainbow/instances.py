@@ -11,13 +11,14 @@ from typing import Optional
 
 from .hypergraph import Hypergraph, format_certificate, parse_certificate
 
-# the spec keys each family reads besides n and r; generate refuses a nonzero other one
+# per family, the spec keys it reads besides n and r (generate refuses a nonzero
+# other one) and its generator, from a spec to the graph and its witness or None
 FAMILIES = {
-    "random": ("m", "seed"),
-    "planted": ("m", "seed"),
-    "complete": (),
-    "shadow": ("seed",),
-    "free-shadow": ("seed",),
+    "random": (("m", "seed"), lambda s: (gen_random(s.n, s.m, s.r, s.seed), None)),
+    "planted": (("m", "seed"), lambda s: gen_planted(s.n, s.m, s.r, s.seed)),
+    "complete": ((), lambda s: (gen_complete(s.n, s.r), None)),
+    "shadow": (("seed",), lambda s: gen_shadow(s.n, s.r, s.seed)),
+    "free-shadow": (("seed",), lambda s: gen_shadow(s.n, s.r, s.seed, planted=False)),
 }
 # below this many r-subsets, sample by enumeration; above it, by rejection
 _ENUMERATE_LIMIT = 200_000
@@ -38,19 +39,14 @@ class InstanceSpec:
             raise ValueError(f"instance spec needs n >= r, got n={self.n}, r={self.r}")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown instance family {self.family!r}")
+        reads, generator = FAMILIES[self.family]
         for key in ("m", "seed"):  # instance_id could not name a key the family does not read
-            if getattr(self, key) and key not in FAMILIES[self.family]:
+            if getattr(self, key) and key not in reads:
                 raise ValueError(f"a {self.family} instance takes no {key}, got {key}={getattr(self, key)}")
-        if self.family == "random":
-            return gen_random(self.n, self.m, self.r, self.seed), None
-        if self.family == "planted":
-            return gen_planted(self.n, self.m, self.r, self.seed)
-        if self.family == "complete":
-            return gen_complete(self.n, self.r), None
-        return gen_shadow(self.n, self.r, self.seed, planted=self.family == "shadow")
+        return generator(self)
 
     def instance_id(self) -> str:
-        keys = "".join(f",{key}={getattr(self, key)}" for key in FAMILIES[self.family])
+        keys = "".join(f",{key}={getattr(self, key)}" for key in FAMILIES[self.family][0])
         return f"{self.family}:r={self.r},n={self.n}{keys}"
 
     @classmethod

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import io
 import multiprocessing
 import os
@@ -28,7 +29,7 @@ from norainbow import (
     write_instance,
 )
 from norainbow.cli import CSV_HEADER, build_parser, expand_corpus_token, main
-from norainbow.instances import gen_complete, gen_planted, gen_shadow, read_planted_witness
+from norainbow.instances import FAMILIES, InstanceSpec, gen_complete, gen_planted, gen_shadow, read_planted_witness
 from norainbow.oracle import oracle_verify_certificate
 
 
@@ -184,6 +185,39 @@ def test_gen_roundtrip(capsys, tmp_path):
     assert code == 0
     hg = parse_instance(out_path.read_text())
     assert (hg.n, hg.r, hg.m) == (8, 3, 9)
+
+
+# SHA-256 of `nrc gen` stdout, one job per family and both of gen_random's samplers;
+# perfbench's recorded answers and the DET pins rest on these texts
+GEN_DIGESTS = {
+    "random --n 18 --m 244 --r 3 --seed 0": "6782c91cb713813d6245bec560d9c5786aa5276a9c63ba2b25106ca3edb1e3c1",
+    "random --n 200 --m 20000 --r 3 --seed 1": "9485a7e07b51a1c4379d107c9d3311bf1ba2e2608f29a43506cc78b0c3480df2",
+    "planted --n 30 --m 900 --r 3 --seed 1": "2aed5a4d6836cba2a45bd4cc3adf534b42dfb70bc94d05763a190208779e916e",
+    "complete --n 16 --r 3": "f81cb15f3e303b2b9c83b4f2297791d9db5fe8e00d36a4713a115abd1dfd3437",
+    "shadow --n 32 --r 3 --seed 0": "1589066d9b7abc348dbc5d84a6394173f9646ccbb51f3c2db2bd68bec6a264f5",
+    "free-shadow --n 24 --r 3 --seed 0": "ffa7a26533f9fe1e20603be0584787e68487d7989f2c337d136365b6ecb3586e",
+}
+
+
+def test_gen_texts_are_pinned_for_every_family(capsys):
+    assert {argv.split()[0] for argv in GEN_DIGESTS} == set(FAMILIES)
+    for argv, digest in GEN_DIGESTS.items():
+        code, out, _ = run_cli(capsys, "gen", *argv.split())
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_a_family_is_one_entry(capsys, monkeypatch):
+    # a family added to FAMILIES alone is generated, named, emitted and benched;
+    # the cached parser's choices are the same dict
+    monkeypatch.setitem(FAMILIES, "toy", ((), lambda s: (gen_complete(s.n, s.r), None)))
+    hg = gen_complete(4, 3)
+    assert InstanceSpec.parse("toy:n=4,r=3")[0].generate() == (hg, None)
+    assert expand_corpus_token("toy:n=4,r=3") == [("toy:r=3,n=4", hg)]
+    assert run_cli(capsys, "gen", "toy", "--n", "4", "--r", "3") == (0, write_instance(hg), "")
+    code, out, _ = run_cli(capsys, "bench", "toy:n=4,r=3")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert code == 0 and len(rows) == 1
+    assert [rows[0][key] for key in ("instance", "n", "m", "r", "decision")] == ["toy:r=3,n=4", "4", "4", "3", NOT_COLORABLE]
 
 
 @pytest.mark.parametrize("family, planted", [("shadow", True), ("free-shadow", False)])
