@@ -6,10 +6,10 @@ form, the array rows. Colors are 1..r. A coloring, a list of n ints, is
 the whole state of det's search; its frozen nodes follow from the colors.
 
 parse_instance splits the text into lines once and scans them to the header
-once. A body of m lines of ASCII digits, spaces and tabs, less its
-trailing blank lines, becomes one int array in one numpy call; every other
-body, and every one that call or the constructor rejects, is parsed line by
-line, to the same graph or to the line-numbered ParseError.
+once. A body of m lines of ASCII digits, spaces and tabs becomes one int
+array in one numpy call; every other body, and every one that call or the
+constructor rejects, is parsed line by line, to the same graph or to the
+line-numbered ParseError.
 """
 from __future__ import annotations
 
@@ -175,8 +175,6 @@ def parse_instance(text: str) -> Hypergraph:
     order mark, as some editors write, is dropped."""
     lines = text.removeprefix("\ufeff").splitlines()
     start, n, m, r = _header(lines)
-    while len(lines) > start + 1 and not lines[-1].split():  # trailing blank lines keep the bulk path
-        lines.pop()
     # The lines are released before the conversion, to lower peak memory. A
     # split line holds no line end, so body.split(" 0\n") gives them back.
     count, body = len(lines) - start - 1, " 0\n".join(lines[start + 1 :])

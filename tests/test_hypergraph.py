@@ -292,20 +292,6 @@ def test_bulk_parse_matches_line_parser(case):
 
 
 @pytest.mark.parametrize(
-    "body, tail",
-    [(None, "\n"), (None, "\r\n\r\n"), (None, "  \t\n"), ("p nrc 4 1 3\n1 2 4\x0c\n", "")],
-    ids=["LF", "CRLF-CRLF", "blanks", "form-feed"],
-)
-def test_trailing_blank_lines_keep_the_bulk_path(body, tail):
-    # the blank lines that end a text are dropped before its body is counted; the
-    # form feed leaves an empty last line
-    text = (body or write_instance(gen_random(200, 20000, 3, 1))) + tail
-    expected = _outcome(parse_lines, text)
-    with mock.patch.object(hypergraph, "_parse_edge_lines", side_effect=AssertionError("line loop ran")):
-        assert _outcome(parse_instance, text) == expected
-
-
-@pytest.mark.parametrize(
     "text, n, edges",
     [
         ("p nrc 4 2 3\r\n3 1 2\r\n4 2 1\r\n", 4, ((0, 1, 2), (0, 1, 3))),
