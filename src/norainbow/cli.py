@@ -29,7 +29,7 @@ from .hypergraph import (
 )
 from .instances import FAMILIES, InstanceSpec, planted_comment
 from .oracle import DEFAULT_BUDGET, oracle_decide, oracle_verify_certificate
-from .rand_solver import DEFAULT_TRIAL_CAP, rand_nrc
+from .rand_solver import DEFAULT_ALPHA, DEFAULT_TRIAL_CAP, rand_nrc
 
 ALGOS = ("det", "rand", "oracle")
 EXIT_ERROR = 1
@@ -207,7 +207,7 @@ def cmd_bench(args) -> int:
 # argparse keywords of each option a decider reads, in --help order
 SOLVER_OPTIONS = {
     "--algo": dict(choices=ALGOS, default="det"),
-    "--alpha": dict(type=float, default=2.0, help="trial multiplier for rand (> 1)"),
+    "--alpha": dict(type=float, default=DEFAULT_ALPHA, help="trial multiplier for rand (> 1)"),
     "--seed": dict(type=int, default=0, help="master seed for rand"),
     "--threads": dict(type=int, default=1, help="parallel workers (1 = reproducible stats)"),
     "--trial-cap": dict(type=int, default=DEFAULT_TRIAL_CAP, help="refuse rand runs needing more trials"),

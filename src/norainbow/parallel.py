@@ -1,10 +1,10 @@
-"""One process-pool harness for both solvers.
+"""One process harness for both solvers.
 
 A solver hands over a range function (hg, lo, hi, stats) -> certificate or
-None that searches its starts lo..hi-1, adding its work to stats. The
-harness runs the whole range in-process for one worker, or splits it into
-chunks over a process pool and stops every worker at the first certificate.
-multiprocessing is imported only for workers > 1, so one worker never loads it.
+None that searches its starts lo..hi-1, adding its work to stats. One worker
+runs the whole range in-process, without loading multiprocessing; several
+are spawned processes, each given the function and graph once and then
+(lo, hi) chunks over its own pipe, until the first certificate kills them.
 """
 from __future__ import annotations
 
@@ -23,33 +23,57 @@ def search_ranges(
     certificate found, or None. range_fn must be picklable when workers > 1.
 
     With several workers the range is cut into at most 4 * workers chunks,
-    run by a pool of at most as many processes as this process has CPUs.
-    The pool spawns them, and each re-imports the main module, so a script
-    that gets here needs an `if __name__ == "__main__":` guard, or every
-    worker reruns it.
-    Leaving the pool at the first certificate terminates the chunks still
-    running, so stats then count only the chunks that finished.
+    run by at most as many processes as this process has CPUs. They are
+    spawned, and each re-imports the main module, so a script that gets
+    here needs an `if __name__ == "__main__":` guard, or every worker reruns
+    it. Each worker shares only its own pipe with this process, no lock, so
+    killing the workers at the first certificate cannot leave this process
+    waiting; stats then count only the chunks that finished. An exception in
+    a worker is raised here, and a worker that dies reads as EOFError.
     """
     if workers == 1:
         return range_fn(hg, 0, total, stats)
-    import multiprocessing
+    import multiprocessing.connection
     step = -(-total // max(1, min(4 * workers, total)))
-    tasks = [(range_fn, hg, lo, min(lo + step, total)) for lo in range(0, total, step)]
-    certificate = None
-    with multiprocessing.get_context("spawn").Pool(min(workers, len(tasks), _usable_cpus())) as pool:
-        for found, chunk_stats in pool.imap_unordered(_run_chunk, tasks):
+    chunks = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+    spawn, pending, links = multiprocessing.get_context("spawn"), iter(chunks), {}
+    try:
+        for _ in range(min(workers, len(chunks), _usable_cpus())):
+            ours, theirs = spawn.Pipe()
+            worker = spawn.Process(target=_work, args=(theirs, range_fn, hg))
+            worker.start()
+            links[ours] = worker
+            theirs.close()  # the worker holds the only other end: its death is EOF here
+            ours.send(next(pending))
+        for _ in chunks:  # one result per chunk
+            ours = multiprocessing.connection.wait(list(links))[0]
+            result = ours.recv()
+            if isinstance(result, Exception):
+                raise result
+            found, chunk_stats = result
             stats.absorb(chunk_stats)
             if found is not None:
-                certificate = found
-                break
-    return certificate
+                return found
+            if (chunk := next(pending, None)) is not None:
+                ours.send(chunk)
+        return None
+    finally:
+        for ours, worker in links.items():
+            worker.kill()
+            worker.join()
+            ours.close()
 
 
 def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _run_chunk(task) -> tuple[Optional[list[int]], SearchStats]:
-    range_fn, hg, lo, hi = task
-    stats = SearchStats()
-    return range_fn(hg, lo, hi, stats), stats
+def _work(link, range_fn: RangeFn, hg: Hypergraph) -> None:  # runs until killed
+    while True:
+        lo, hi = link.recv()
+        stats = SearchStats()
+        try:
+            result = range_fn(hg, lo, hi, stats), stats
+        except Exception as error:  # sent back and raised by search_ranges
+            result = error
+        link.send(result)

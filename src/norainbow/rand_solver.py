@@ -27,6 +27,7 @@ import numpy as np
 from .hypergraph import Hypergraph, SearchOutcome, SearchStats
 from .parallel import search_ranges
 
+DEFAULT_ALPHA = 2.0
 DEFAULT_TRIAL_CAP = 10**6
 # Rows x edges of one batch of rounds; a single round may exceed it.
 _BATCH_CELLS = 1 << 17
@@ -137,7 +138,7 @@ def _recolor(r, edges, colors, frozen, rows, rainbow, frozen_count, rngs) -> Non
 
 def rand_nrc(
     hg: Hypergraph,
-    alpha: float = 2.0,
+    alpha: float = DEFAULT_ALPHA,
     master_seed: int = 0,
     cap: int = DEFAULT_TRIAL_CAP,
     workers: int = 1,

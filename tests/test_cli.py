@@ -1,6 +1,7 @@
 import argparse
 import csv
 import hashlib
+import inspect
 import io
 import multiprocessing
 import os
@@ -567,6 +568,13 @@ def test_cli_byte_identical_across_processes(planted):
 
 def test_parser_is_built_once_per_process():
     assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("argv", [["solve", "x.nrc"], ["bench", "complete:r=3,n=5"]])
+def test_rand_option_defaults_are_rand_nrcs_own(argv):
+    defaults = inspect.signature(rand_nrc).parameters
+    args = build_parser().parse_args(argv)
+    assert (args.alpha, args.trial_cap) == (defaults["alpha"].default, defaults["cap"].default) == (2.0, 10**6)
 
 
 def test_one_main_call_leaks_nothing_into_the_next(capsys, planted):

@@ -2,6 +2,7 @@ import itertools
 import pickle
 import random
 import re
+from copy import copy as shallow_copy
 from copy import deepcopy
 from unittest import mock
 
@@ -100,12 +101,12 @@ def test_a_graph_stores_its_edges_once(name):
 def test_equality_is_by_value_and_survives_pickling():
     edges = ((2, 0, 1), (1, 3, 4), (0, 2, 4))
     hg = Hypergraph(5, 3, edges)
-    copy = pickle.loads(pickle.dumps(hg))  # as a --threads task carries it
+    copy = pickle.loads(pickle.dumps(hg))  # as a --threads worker receives it
     assert "edges" not in vars(copy)
     assert hg == Hypergraph(5, 3, np.array(edges)) == copy
     assert hg.edges == copy.edges
-    assert "edges" in vars(pickle.loads(pickle.dumps(hg)))  # a view once built travels with the graph
-    for other in (pickle.loads(pickle.dumps(hg)), deepcopy(hg)):
+    assert "edges" not in vars(pickle.loads(pickle.dumps(hg)))  # a copy rebuilds its views itself
+    for other in (pickle.loads(pickle.dumps(hg)), deepcopy(hg), shallow_copy(hg)):
         assert other == hg and not other.rows.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             other.rows[0, 0] = 3
@@ -123,6 +124,27 @@ def test_equality_is_by_value_and_survives_pickling():
     with pytest.raises(TypeError, match="unhashable"):
         hash(hg)
     assert "[1, 3, 4]" in repr(hg)  # hypothesis prints the edges of a falsifying graph
+
+
+def test_a_pickle_holds_compact_rows_and_no_views():
+    # a --threads worker receives this pickle; at most 255 nodes, a node id is one byte
+    hg = gen_random(200, 20000, 3, 1)
+    size = len(pickle.dumps(hg))
+    assert size < hg.m * hg.r + 1000
+    hg.edges, hg.incidence
+    assert len(pickle.dumps(hg)) == size
+    copy = pickle.loads(pickle.dumps(hg))
+    assert copy == hg and copy.rows.dtype == np.int64
+    assert "edges" not in vars(copy) and "incidence" not in vars(copy)
+    assert copy.incidence == hg.incidence
+
+
+@pytest.mark.parametrize("n, edges", [(0, ()), (256, ((0, 255),)), (2**40, ((0, 2**40 - 1),)), (2**70, ((0, 2**63 - 1),))])
+def test_a_pickle_round_trips_at_every_id_width(n, edges):
+    # the pickled rows take the smallest dtype that holds n: uint8 up to uint64, then Python ints
+    hg = Hypergraph(n, 2, edges)
+    copy = pickle.loads(pickle.dumps(hg))
+    assert copy == hg and copy.rows.dtype == np.int64 and not copy.rows.flags.writeable
 
 
 def _shift_incidence(hg):
