@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """List the lines of src/norainbow that no test reaches.
 
-Runs pytest in this process under a sys.settrace line tracer limited to
-src/norainbow, then prints every executable line no test ran, as
+Runs pytest in this process under a line tracer limited to src/norainbow,
+installed with sys.settrace and threading.settrace so that it also covers
+the threads tests start, then prints every executable line no test ran, as
 path:line, and the src/ line count (as `wc -l src/norainbow/*.py` gives
 it). The executable lines of a file are those of every code object
 compiled from it, read from co_lines(). With no arguments it runs the
@@ -10,8 +11,9 @@ tier-1 suite; any arguments are passed to pytest instead. Exits with
 pytest's exit code. Standard library and pytest only.
 
 Lines that run only in other processes are not traced, so they show as
-unreached: the chunks that --threads workers run, and the CLI
-subprocesses that some tests start.
+unreached: those of spawned --threads worker processes, and of the CLI
+subprocesses that some tests start. Lines that tests run in threads, such
+as the worker loop under tests/test_parallel.py's thread fake, count.
 
 Example:
     python scripts/src_reach.py
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import os
 import sys
+import threading
 from pathlib import Path
 from types import CodeType
 
@@ -56,9 +59,11 @@ def traced_run(args: list[str]) -> tuple[int, dict[str, set[int]]]:
         return local(frame, event, arg) if by_name[name] is not None else None
 
     sys.settrace(call)
+    threading.settrace(call)
     try:
         code = pytest.main(args)
     finally:
+        threading.settrace(None)
         sys.settrace(None)
     return int(code), reached
 

@@ -2,7 +2,7 @@
 hypergraphs: a deterministic bounded-radius branching search, a randomized
 restart walk, a brute-force oracle, and instance generators."""
 
-from .det_solver import det_nrc, det_starts, local_search, search_radius
+from .det_solver import det_nrc, det_starts, search_radius
 from .hypergraph import (
     COLORABLE,
     NOT_COLORABLE,
@@ -16,14 +16,7 @@ from .hypergraph import (
     parse_instance,
     write_instance,
 )
-from .instances import (
-    InstanceSpec,
-    gen_complete,
-    gen_planted,
-    gen_random,
-    gen_shadow,
-    read_planted_witness,
-)
+from .instances import InstanceSpec, gen_complete, gen_planted, gen_random, gen_shadow
 from .oracle import OracleReport, oracle_decide, oracle_verify_certificate
 from .rand_solver import rand_nrc, trial_count
 

@@ -64,63 +64,24 @@ def start_count(n: int, r: int) -> int:
     return math.comb(n - 1, r - 1) * r
 
 
-def local_search(
-    hg: Hypergraph,
-    subset: tuple[int, ...],
-    b: int,
-    radius: int,
-    trace: Optional[TraceFn] = None,
-) -> SearchOutcome:
-    """Bounded-radius search from the start (subset, b): the subset's r
-    nodes frozen on the colors 1..r in ascending node order, every other
-    node unfrozen on the background color b.
-
-    The subset is read as the class minima of the coloring sought: a node
-    v outside it may take only the colors 1..cap(v), cap(v) being the
-    number of subset nodes below v, and the nodes below the subset's node
-    w colored b, whose caps are below b, must all leave b.
-
-    Case order per node: no rainbow edge -> certify the current coloring;
-    depth radius reached, a fully frozen rainbow edge, or more nodes below w
-    still on b than the radius has levels left -> fail; otherwise recolor
-    the unfrozen node v of the lowest-index rainbow edge to each color in
-    1..cap(v) other than b, freeze it, and go one level deeper.
-
-    Recolored nodes are frozen at once, so every unfrozen node keeps b and
-    w is the only frozen node colored b: a node is frozen exactly when its
-    color is not b or it is w. The search carries touched, per color c != b
-    the edges its nodes meet, and dup, the edges two nodes of one such
-    color share. An edge has r nodes, so it is rainbow when it is in every
-    touched set but not in dup, and a fully frozen rainbow edge when it is
-    in every touched set and holds w. Once no rainbow edge is fully frozen,
-    each has exactly one unfrozen node, its node colored b, and the tree is
-    at most (r-1)-ary. The radius is searched as given, where det_nrc
-    lowers it. trace, when given, is called as trace(depth, coloring) at
-    every node with the live list of colors, which the search goes on to
-    mutate.
-    Raises ValueError unless radius >= 0, the subset is r distinct nodes
-    of 0..n-1 and b is in 1..r.
-    """
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
-    nodes = sorted(subset)
-    if len(nodes) != hg.r or len(set(nodes)) != hg.r or nodes[0] < 0 or nodes[-1] >= hg.n:
-        raise ValueError(f"subset must be {hg.r} distinct nodes in 0..{hg.n - 1}, got {tuple(subset)}")
-    if not 1 <= b <= hg.r:
-        raise ValueError(f"background color {b} outside 1..{hg.r}")
-    stats = SearchStats()
-    certificate = _start_search(hg, nodes, b, radius, stats, trace)
-    return SearchOutcome.of(hg, certificate, stats)
-
-
 def _start_search(
     hg: Hypergraph, nodes: Sequence[int], b: int, radius: int, stats: SearchStats, trace: Optional[TraceFn] = None
 ) -> Optional[list[int]]:
-    """local_search's certificate from the start (nodes, b), nodes ascending,
-    unchecked for det_nrc to check once; adds the start and its tree to stats.
-    search(dup, depth, forced) recolors coloring and touched in place and
-    restores them before it returns None; forced counts the nodes below w
-    still colored b."""
+    """The certificate of the search from the start (nodes, b), nodes
+    ascending, to the given radius, or None; unchecked, for det_nrc to check
+    once. Adds the start and its tree to stats. trace, when given, is called
+    as trace(depth, coloring) at every node with the live list of colors,
+    which the search goes on to mutate.
+
+    Case order per node, w being nodes[b - 1]: no rainbow edge -> certify;
+    depth radius reached, a fully frozen rainbow edge, or more nodes below w
+    still on b than levels left -> fail; otherwise recolor the unfrozen node
+    v of the lowest-index rainbow edge to each color in 1..cap(v) but b, one
+    level deeper. search(dup, depth, forced) recolors coloring and touched,
+    per color c != b the edges its nodes meet, in place and restores them
+    before it returns None; dup holds the edges two nodes of one such color
+    share, so an edge is rainbow when every touched set holds it and dup does
+    not, and forced counts the nodes below w still colored b."""
     coloring = [b] * hg.n
     for color, v in enumerate(nodes, 1):
         coloring[v] = color

@@ -52,8 +52,8 @@ class Hypergraph:
             raise ValueError(f"uniformity r must be >= 2, got {r}")
         if n < 0:
             raise ValueError(f"node count must be >= 0, got {n}")
-        if not isinstance(edges, np.ndarray):
-            edges = list(edges)
+        if not (isinstance(edges, np.ndarray) and edges.shape[1:] == (r,)):  # an (m, r) array skips the scan
+            edges = edges.tolist() if isinstance(edges, np.ndarray) else list(edges)
             for e in edges:
                 if len(e) != r:
                     raise ValueError(f"edge {tuple(e)} has {len(e)} nodes, expected {r}")

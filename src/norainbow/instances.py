@@ -9,7 +9,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .hypergraph import Hypergraph, format_certificate, parse_certificate
+from .hypergraph import Hypergraph, format_certificate
 
 # per family, the spec keys it reads besides n and r (generate refuses a nonzero
 # other one) and its generator, from a spec to the graph and its witness or None
@@ -177,11 +177,3 @@ def planted_comment(witness: list[int]) -> str:
     """Comment line carrying the planted witness; parsers skip it."""
     return "c planted: " + format_certificate(witness)
 
-
-def read_planted_witness(text: str) -> Optional[list[int]]:
-    """Recover the witness from a planted instance's comment, if present."""
-    for line in text.splitlines():
-        tokens = line.split()
-        if tokens[:2] == ["c", "planted:"]:
-            return parse_certificate(" ".join(tokens[2:]))
-    return None

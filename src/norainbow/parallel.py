@@ -8,6 +8,7 @@ are spawned processes, each given the function and graph once and then
 """
 from __future__ import annotations
 
+import contextlib
 import os
 from typing import Callable, Optional
 
@@ -68,12 +69,15 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _work(link, range_fn: RangeFn, hg: Hypergraph) -> None:  # runs until killed
-    while True:
-        lo, hi = link.recv()
-        stats = SearchStats()
-        try:
-            result = range_fn(hg, lo, hi, stats), stats
-        except Exception as error:  # sent back and raised by search_ranges
-            result = error
-        link.send(result)
+def _work(link, range_fn: RangeFn, hg: Hypergraph) -> None:  # runs until killed or its caller's end closes
+    # a closed caller end is EOF to recv and a broken pipe to send, and a
+    # reset connection to recv when the caller closed with a result unread
+    with contextlib.suppress(EOFError, ConnectionError):
+        while True:
+            lo, hi = link.recv()
+            stats = SearchStats()
+            try:
+                result = range_fn(hg, lo, hi, stats), stats
+            except Exception as error:  # sent back and raised by search_ranges
+                result = error
+            link.send(result)

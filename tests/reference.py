@@ -1,9 +1,10 @@
 """Plain reference predicates that tests compare the package against, the
 certificate definition among them, the line-by-line instance parser, the
 product-order oracle, every (subset, b) start in order and the
-class-minimum starts det searches among them, the one-start walk, rand's
-one-round-at-a-time loop, and the witness-aligned walk starts of the
-success-rate tests."""
+class-minimum starts det searches among them, det's capped search and
+rand's walk from one start, rand's one-round-at-a-time loop, the planted
+comment's reader, and the witness-aligned walk starts of the success-rate
+tests."""
 from __future__ import annotations
 
 import itertools
@@ -18,7 +19,9 @@ from norainbow import (
     Hypergraph,
     SearchOutcome,
     SearchStats,
+    det_solver,
     is_no_rainbow_coloring,
+    parse_certificate,
 )
 from norainbow.hypergraph import _header, _parse_edge_lines
 from norainbow.oracle import _TABLE_CELLS, OracleReport
@@ -250,6 +253,15 @@ def reference_walk(
     raise AssertionError("walk outlived n - r + 1 evaluations")
 
 
+def local_search(hg: Hypergraph, subset: tuple[int, ...], b: int, radius: int, trace=None) -> SearchOutcome:
+    """det's capped search from the one start (subset, b), subset ascending,
+    to the given radius, with its own stats. det_solver._start_search is
+    looked up at each call, so a monkeypatched one is the one that runs."""
+    stats = SearchStats()
+    certificate = det_solver._start_search(hg, subset, b, radius, stats, trace)
+    return SearchOutcome.of(hg, certificate, stats)
+
+
 def rand_local_search(
     hg: Hypergraph, coloring: list[int], frozen: Iterable[int], rng: np.random.Generator
 ) -> SearchOutcome:
@@ -291,6 +303,15 @@ def reference_rand_range(
         hits = np.flatnonzero(walks.certified)
         if hits.size:
             return walks.colors[hits[0]].tolist()
+    return None
+
+
+def read_planted_witness(text: str) -> Optional[list[int]]:
+    """The witness of an instance text's `c planted:` comment, or None."""
+    for line in text.splitlines():
+        tokens = line.split()
+        if tokens[:2] == ["c", "planted:"]:
+            return parse_certificate(" ".join(tokens[2:]))
     return None
 
 

@@ -30,8 +30,10 @@ from norainbow import (
     write_instance,
 )
 from norainbow.cli import CSV_HEADER, build_parser, expand_corpus_token, main
-from norainbow.instances import FAMILIES, InstanceSpec, gen_complete, gen_planted, gen_shadow, read_planted_witness
+from norainbow.instances import FAMILIES, InstanceSpec, gen_complete, gen_planted, gen_shadow
 from norainbow.oracle import oracle_verify_certificate
+
+from reference import read_planted_witness
 
 
 @pytest.fixture

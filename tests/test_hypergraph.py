@@ -18,7 +18,6 @@ from norainbow import (
     det_solver,
     hypergraph,
     is_no_rainbow_coloring,
-    local_search,
     parse_instance,
     rand_nrc,
     rand_solver,
@@ -28,7 +27,7 @@ from norainbow.hypergraph import _parse_bulk
 from norainbow.instances import gen_complete, gen_planted, gen_random
 from norainbow.rand_solver import Walks
 
-from reference import first_rainbow_edge, hamming, is_rainbow_edge, parse_lines, select_branch_edge
+from reference import first_rainbow_edge, hamming, is_rainbow_edge, local_search, parse_lines, select_branch_edge
 from strategies import colored_hypergraphs, hypergraphs
 
 
@@ -57,6 +56,10 @@ def test_bad_edges_rejected():
             Hypergraph(5, 3, (edge,))
     with pytest.raises(ValueError, match=r"edge \(0\.0, 1\.0, 2\.5\)"):
         Hypergraph(5, 3, np.array([[0, 1, 2.5]]))
+    # an array edge of the wrong width is named as the same edge given as a tuple is
+    for edges in (((0, 0, 0, 0),) * 2, np.zeros((2, 4), int)):
+        with pytest.raises(ValueError, match=r"^edge \(0, 0, 0, 0\) has 4 nodes, expected 3$"):
+            Hypergraph(5, 3, edges)
 
 
 @given(hypergraphs(), st.randoms(use_true_random=False))

@@ -14,9 +14,10 @@ from norainbow.instances import (
     gen_random,
     gen_shadow,
     planted_comment,
-    read_planted_witness,
 )
 from norainbow.oracle import oracle_decide, oracle_verify_certificate
+
+from reference import read_planted_witness
 
 
 def test_every_generator_is_exported():

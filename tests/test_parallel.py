@@ -1,4 +1,3 @@
-import contextlib
 import multiprocessing
 import os
 import subprocess
@@ -61,13 +60,8 @@ class _ThreadWorker:
     def __init__(self, target, args):
         link, *job = args
         self.jobs.append(tuple(job))
-        self.thread = threading.Thread(target=self._run, args=(target, _Recording(os.dup(link.fileno())), job))
+        self.thread = threading.Thread(target=target, args=(_Recording(os.dup(link.fileno())), *job))
         self.threads.append(self.thread)
-
-    @staticmethod
-    def _run(target, link, job):
-        with contextlib.suppress(EOFError):
-            target(link, *job)
 
     def start(self):
         self.thread.start()
@@ -145,6 +139,28 @@ def die_on_chunk_two(hg, lo, hi, stats):
 def test_a_worker_error_is_raised_here():
     with pytest.raises(ValueError, match=r"^no starts 2\.\.3$"):
         search_ranges(Hypergraph(3, 3), fail_on_chunk_two, 10, 2, SearchStats())
+
+
+def test_a_thread_worker_error_is_raised_here(thread_workers):
+    # the same through the fake, whose workers run _work in this process
+    with pytest.raises(ValueError, match=r"^no starts 2\.\.3$"):
+        search_ranges(Hypergraph(3, 3), fail_on_chunk_two, 10, 2, SearchStats())
+
+
+def test_a_worker_whose_caller_is_gone_ends_quietly(thread_workers):
+    # the certificate of chunk 1 closes the caller's ends while chunk 0 still
+    # runs; that worker's send then meets a broken pipe, and it ends without
+    # an exception, which the fixture would report as an error
+    release = threading.Event()
+
+    def hold_chunk_zero(hg, lo, hi, stats):
+        if lo == 0:
+            release.wait(10)
+            return None
+        return [1, 2, 3]
+
+    assert search_ranges(Hypergraph(3, 3), hold_chunk_zero, 2, 2, SearchStats()) == [1, 2, 3]
+    release.set()
 
 
 def test_a_dead_worker_is_an_error_not_a_hang():

@@ -63,7 +63,11 @@ def test_success_rate_reports_us_per_walk_evaluation(tmp_path):
 
 def test_src_reach_lists_unreached_package_lines(tmp_path):
     tests = Path(__file__).resolve().parent
-    args = [tests / "test_python_floor.py", f"{tests / 'test_parallel.py'}::test_solvers_refuse_fewer_than_one_worker"]
+    args = [
+        tests / "test_python_floor.py",
+        f"{tests / 'test_parallel.py'}::test_solvers_refuse_fewer_than_one_worker",
+        f"{tests / 'test_parallel.py'}::test_a_thread_worker_error_is_raised_here",
+    ]
     done = subprocess.run(
         [sys.executable, str(SCRIPTS / "src_reach.py"), "-q", "-p", "no:cacheprovider", *map(str, args)],
         cwd=tmp_path,
@@ -73,7 +77,8 @@ def test_src_reach_lists_unreached_package_lines(tmp_path):
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert re.fullmatch(r"src/norainbow: \d+ lines", lines[-1])
-    source = (SCRIPTS.parent / "src" / "norainbow" / "det_solver.py").read_text(encoding="utf-8").splitlines()
+    package = SCRIPTS.parent / "src" / "norainbow"
+    source = (package / "det_solver.py").read_text(encoding="utf-8").splitlines()
 
     def det_line(text):
         return f"src/norainbow/det_solver.py:{1 + next(i for i, line in enumerate(source) if text in line)}"
@@ -81,3 +86,10 @@ def test_src_reach_lists_unreached_package_lines(tmp_path):
     # det_nrc's worker check runs; its search does not
     assert det_line("workers must be >= 1") not in lines
     assert det_line("radius = search_radius(hg.n, hg.r)") in lines
+    # the thread fake runs the worker loop, _work, in threads of the traced
+    # process, so none of its lines is listed, the except branch included
+    source = (package / "parallel.py").read_text(encoding="utf-8").splitlines()
+    work = next(i for i, line in enumerate(source) if line.startswith("def _work("))
+    end = next((i for i in range(work + 1, len(source)) if source[i].startswith("def ")), len(source))
+    assert any("except Exception" in line for line in source[work:end])
+    assert not {f"src/norainbow/parallel.py:{i + 1}" for i in range(work, end)} & set(lines)
